@@ -3,7 +3,8 @@ FUZZTIME ?= 30s
 
 .PHONY: all build vet test race race-stream bench benchjson benchguard \
 	fuzz fuzz-smoke kernel-smoke obs-smoke stage-smoke shard-smoke \
-	sic-smoke dist-smoke gate-smoke robustness-smoke profile ci clean
+	sic-smoke dist-smoke gate-smoke robustness-smoke lfperf-smoke profile \
+	ci clean
 
 all: build
 
@@ -60,14 +61,13 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=5s
 
-# Kernel-equivalence smoke: fuzz the coarse-to-fine sweep against the
-# dense reference (skip soundness + guard-range coverage, DESIGN.md
-# §12), plus the direct unit equivalence suites for the SoA kernels,
-# quickselect median, and windowed NMS.
+# Kernel-equivalence smoke: the direct unit equivalence suites for the
+# SoA sweep kernels, quickselect median, and windowed NMS (DESIGN.md
+# §12), plus a short fuzz of the sparse reference kernel the benchmark
+# still times (dsp.sweep_sparse_ns_per_sample).
 kernel-smoke:
 	$(GO) test -run 'TestPrefixSoA|TestDiffSweep|TestMedianFloat|TestSuppress' ./internal/dsp
 	$(GO) test -run '^$$' -fuzz FuzzDiffSweepSparse -fuzztime 5s ./internal/dsp
-	$(GO) test -run TestSparseSweepMatchesDense -short .
 
 # Observability smoke: the golden-trace corpus (batch + streaming,
 # byte-for-byte against testdata/golden/) and the metrics conservation
@@ -133,13 +133,33 @@ gate-smoke:
 robustness-smoke:
 	$(GO) run ./cmd/lfbench -exp robustness -quick -epochs 1
 
+# Benchmark smoke: a 3 s traced run of each BENCHMARK.json workload
+# through lfperf/run.sh, which builds the benchmark from this checkout.
+# The last output line must report "correct":true — every decode
+# scored, every A/B variant byte-identical to the shipped decode — and
+# "failed":0. About 30 s on 2 CPUs.
+LFPERF_WORKLOADS = dense16_stream slotted_replay gateway_loopback
+
+lfperf-smoke:
+	@for w in $(LFPERF_WORKLOADS); do \
+		out=$$(bash lfperf/run.sh --workload $$w --seed 1 --seconds 3 --trace 1) || exit 1; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		if printf '%s' "$$last" | grep -q '"correct":true' && \
+			printf '%s' "$$last" | grep -Eq '"failed":0[,}]'; then \
+			echo "lfperf-smoke: $$w ok"; \
+		else \
+			echo "lfperf-smoke: $$w failed: $$(printf '%s' "$$last" | cut -c1-300)"; \
+			exit 1; \
+		fi; \
+	done
+
 # CPU + heap profiles of the micro-benchmark suite, for hunting the
 # next hot spot (`go tool pprof lfbench.cpu.prof`).
 profile:
 	$(GO) run ./cmd/lfbench -benchjson /tmp/lfbench-profile.json \
 		-cpuprofile lfbench.cpu.prof -memprofile lfbench.mem.prof
 
-ci: vet build test race race-stream fuzz-smoke kernel-smoke obs-smoke stage-smoke shard-smoke sic-smoke dist-smoke gate-smoke robustness-smoke benchguard
+ci: vet build test race race-stream fuzz-smoke kernel-smoke obs-smoke stage-smoke shard-smoke sic-smoke dist-smoke gate-smoke robustness-smoke benchguard lfperf-smoke
 
 clean:
 	$(GO) clean ./...

@@ -175,42 +175,6 @@ func BenchmarkStreamingDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingDecodeDenseSweep is BenchmarkStreamingDecode with
-// the coarse-to-fine sweep disabled (ForceDenseSweep) — the A/B
-// partner that isolates the sparse kernel's whole-pipeline win. The
-// decoded result is bit-identical to the sparse run.
-func BenchmarkStreamingDecodeDenseSweep(b *testing.B) {
-	net, err := lf.NewNetwork(lf.NetworkConfig{NumTags: 8, PayloadSeconds: 2e-3, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ep, err := net.RunEpoch()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := net.DecoderConfig()
-	cfg.CalibSamples = 32768
-	cfg.ForceDenseSweep = true
-	dec, err := lf.NewDecoder(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(16 * ep.Capture.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sd, err := dec.NewStream()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ep.Blocks(8192, sd.Push); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sd.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSynthesize measures capture synthesis throughput.
 func BenchmarkSynthesize(b *testing.B) {
 	net, err := lf.NewNetwork(lf.NetworkConfig{NumTags: 16, PayloadSeconds: 1e-3, Seed: 3})

@@ -132,11 +132,6 @@ type Config struct {
 	// to end of capture. Batch Decode honours the same knob, so batch
 	// and streaming stay bit-identical at any setting.
 	CalibSamples int64
-	// ForceDenseSweep disables the edge detector's coarse-to-fine
-	// differential sweep (DESIGN.md §12), forcing the dense kernel at
-	// every position. The decode is bit-identical either way; the knob
-	// exists for A/B benchmarking and debugging.
-	ForceDenseSweep bool
 	// ForceFullResidual disables incremental SIC (DESIGN.md §17),
 	// reverting every cancellation round to the historical mechanics: a
 	// freshly allocated residual buffer, a full re-subtraction of every
@@ -147,8 +142,7 @@ type Config struct {
 	// span-locally, and seeds the residual pass's detector with the
 	// repaired lanes and the first pass's calibration. The decode is
 	// byte-identical either way (sic_equivalence_test.go pins the
-	// matrix); the knob exists for A/B benchmarking and debugging,
-	// mirroring ForceDenseSweep.
+	// matrix); the knob exists for A/B benchmarking and debugging.
 	ForceFullResidual bool
 	// ViterbiWindow is the sliding trellis window of the sequence
 	// decoder: survivor paths commit as they merge and are truncated at

@@ -474,9 +474,10 @@ func foldLanes(re, im []float64, residual []complex128, regions []shard.Range) b
 func (sd *StreamDecoder) seedLanes(st *sicState, residual []complex128, active, regions []shard.Range, calib *edgedetect.CalibPreset) *edgedetect.SweepSeed {
 	n := len(residual)
 	if calib == nil || !st.seedable() {
-		// No calibration to carry means no seeded detector (a seed
-		// requires a preset threshold for the sparse sweep); the push
-		// path recalibrates as the historical semantics did.
+		// No calibration to carry means no seeded detector (a seeded
+		// stream sweeps only its active mask, so it cannot take its own
+		// calibration median); the push path recalibrates as the
+		// historical semantics did.
 		st.seeded = false
 		return nil
 	}
@@ -660,8 +661,8 @@ func mergeRanges(spans []shard.Range) []shard.Range {
 
 // dirtyClosure is the residual pass's detection mask: the touched
 // spans widened by the sweep's cut distance (shard.SweepReach — beyond
-// it every windowed differential reads byte-identical input, the
-// §12/§15 argument), then closed over the widened extents of decoded
+// it every windowed differential reads byte-identical input, the §15
+// argument), then closed over the widened extents of decoded
 // streams they overlap. A stream straddling a dirty span must stay
 // fully visible to the residual pass — masking half of it would
 // re-register the visible half as a phantom partial — and its extent

@@ -109,9 +109,6 @@ func NewStreamDecoder(sampleRate float64, cfg Config) (*StreamDecoder, error) {
 	if ecfg.Parallelism == 0 {
 		ecfg.Parallelism = workers
 	}
-	if cfg.ForceDenseSweep {
-		ecfg.DenseSweep = true
-	}
 	m := cfg.metrics()
 	var meter *work.Meter
 	if m.Registry != nil {

@@ -581,16 +581,15 @@ func (c *Coordinator) serveJob(conn net.Conn, p *pending) bool {
 
 // shipJob builds the wire form of a pending job: geometry verbatim,
 // prefix sums cut down to the exact window the dense kernel reads
-// ([ilo−margin, ihi+margin) in absolute positions), Sparse forced off
-// (see wireJob). The prefix sums are from-origin absolute values, so
-// the shipped subslice reproduces every difference bit-exactly.
+// ([ilo−margin, ihi+margin) in absolute positions). The prefix sums
+// are from-origin absolute values, so the shipped subslice reproduces
+// every difference bit-exactly.
 func shipJob(p *pending) *wireJob {
 	j := p.job
 	wj := &wireJob{
 		ID: p.id, Lo: j.Lo, Hi: j.Hi,
 		IntLo: j.IntLo, IntHi: j.IntHi,
-		Gap: j.Gap, Win: j.Win, Guard: j.Guard,
-		Sparse: false, Threshold: j.Threshold,
+		Gap: j.Gap, Win: j.Win,
 	}
 	ilo, ihi := max(j.Lo, j.IntLo), min(j.Hi, j.IntHi)
 	if ilo >= ihi {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -34,8 +35,7 @@ func makeJob(seed uint64, n, lo, hi int64) *edgedetect.StripeJob {
 		Lo: lo, Hi: hi,
 		IntLo: margin, IntHi: n - margin,
 		Re: re, Im: im, Base: 0,
-		Gap: g, Win: w, Guard: shard.SweepGuard(g),
-		Sparse: false, Threshold: 0.5,
+		Gap: g, Win: w,
 		Dst: make([]float64, hi-lo),
 	}
 }
@@ -149,26 +149,6 @@ func TestRunStripeRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestRunStripeSparseJobDensifiedRemotely: a sparse local job must
-// still produce a decode-equivalent stripe remotely (the wire forces
-// the dense kernel; above-threshold positions are exact either way).
-func TestRunStripeSparseJobDensifiedRemotely(t *testing.T) {
-	c := startCoordinator(t, CoordinatorConfig{})
-	startWorkers(t, c, 1, nil)
-
-	job := makeJob(7, 4096, 512, 2048)
-	job.Sparse = true
-	dense := *job
-	dense.Sparse = false
-	want := refRun(&dense)
-	if err := c.RunStripe(job); err != nil {
-		t.Fatal(err)
-	}
-	if !equalFloats(job.Dst, want) {
-		t.Fatal("remote sparse job not bit-identical to dense kernel")
-	}
-}
-
 // TestRunStripeNoFleetFallsBackLocal: with no workers the stripe runs
 // in-process immediately.
 func TestRunStripeNoFleetFallsBackLocal(t *testing.T) {
@@ -184,6 +164,47 @@ func TestRunStripeNoFleetFallsBackLocal(t *testing.T) {
 	snap := c.Stats()
 	if snap.Counters["dist.local"] != 1 {
 		t.Fatalf("dist.local = %d, want 1", snap.Counters["dist.local"])
+	}
+}
+
+// TestCoordinatorRefusesOldProtocol: a worker whose hello carries the
+// previous protocol version (the job layout with the sparse-sweep
+// fields) must be refused at the handshake — no welcome, no job — and
+// stripes must then run on the local kernel with in-process bytes.
+func TestCoordinatorRefusesOldProtocol(t *testing.T) {
+	c := startCoordinator(t, CoordinatorConfig{})
+	conn, err := net.Dial("tcp", c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := &wireHello{Version: protoVersion - 1, Name: "old"}
+	if err := writeFrame(conn, msgHello, hello.encode()); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, _, err := readFrame(conn)
+	if err == nil {
+		t.Fatalf("old-version worker got a frame of type %d, want the connection refused", typ)
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("coordinator left the old-version worker hanging instead of refusing it")
+	}
+	if n := c.Workers(); n != 0 {
+		t.Fatalf("old-version worker registered: %d workers", n)
+	}
+
+	job := makeJob(4, 4096, 512, 2048)
+	want := refRun(job)
+	if err := c.RunStripe(job); err != nil {
+		t.Fatal(err)
+	}
+	if !equalFloats(job.Dst, want) {
+		t.Fatal("local fallback after refusal differs from the in-process stripe")
+	}
+	if got := c.Stats().Counters["dist.local"]; got != 1 {
+		t.Fatalf("dist.local = %d, want 1", got)
 	}
 }
 
@@ -526,14 +547,15 @@ func TestWireRoundTrip(t *testing.T) {
 	// All-blank stripe (Hi ≤ IntLo), so the shipped window is free-form
 	// and the float fields round-trip without the coverage check.
 	job := &wireJob{ID: 42, Lo: 100, Hi: 200, IntLo: 200, IntHi: 4084,
-		Base: 88, Gap: 4, Win: 8, Guard: 6, Sparse: false, Threshold: 1.5,
+		Base: 88, Gap: 4, Win: 8,
 		Re: []float64{1, 2.5, math.Pi}, Im: []float64{-1, 0, 3e-9}}
 	got, err := decodeJob(job.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != job.ID || got.Lo != job.Lo || got.Hi != job.Hi ||
-		got.Threshold != job.Threshold || !equalFloats(got.Re, job.Re) || !equalFloats(got.Im, job.Im) {
+	if got.ID != job.ID || got.Lo != job.Lo || got.Hi != job.Hi || got.IntLo != job.IntLo ||
+		got.IntHi != job.IntHi || got.Base != job.Base || got.Gap != job.Gap || got.Win != job.Win ||
+		!equalFloats(got.Re, job.Re) || !equalFloats(got.Im, job.Im) {
 		t.Fatal("job did not round-trip")
 	}
 

@@ -36,8 +36,9 @@ const (
 	wireMagic1 = 0x46 // 'F'
 
 	// protoVersion gates the handshake: a coordinator refuses workers
-	// speaking a different framing or job layout.
-	protoVersion = 1
+	// speaking a different framing or job layout. Version 2 dropped the
+	// sparse-sweep fields (guard, sparse flag, threshold) from the job.
+	protoVersion = 2
 
 	// maxFramePayload bounds a frame's declared payload so a corrupt
 	// length field cannot make the reader allocate gigabytes. Stripe
@@ -80,22 +81,15 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 }
 
 // wireJob is the on-wire form of one stripe assignment: the job
-// geometry plus the minimal prefix-sum window the kernel reads,
-// re-based so Re[0]/Im[0] sit at absolute position Base. Sparse is
-// always false on the wire — the coordinator densifies remote jobs so
-// the result is a pure function of the shipped window (the sparse skip
-// tier's coarse blocks are origin-aligned and would shift with the
-// shipping offset; dense vs sparse is output-invariant per DESIGN.md
-// §12, so densifying changes don't-care zeros only).
+// geometry plus the minimal prefix-sum window the dense kernel reads,
+// re-based so Re[0]/Im[0] sit at absolute position Base. The result is
+// a pure function of the shipped window.
 type wireJob struct {
 	ID           uint64
 	Lo, Hi       int64
 	IntLo, IntHi int64
 	Base         int64
 	Gap, Win     int64
-	Guard        int64
-	Sparse       bool
-	Threshold    float64
 	Re, Im       []float64
 }
 
@@ -109,13 +103,6 @@ func (j *wireJob) encode() []byte {
 	e.I64(j.Base)
 	e.I64(j.Gap)
 	e.I64(j.Win)
-	e.I64(j.Guard)
-	if j.Sparse {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.F64(j.Threshold)
 	e.Floats(j.Re)
 	e.Floats(j.Im)
 	return e.B
@@ -126,8 +113,7 @@ func decodeJob(p []byte) (*wireJob, error) {
 	j := &wireJob{
 		ID: d.U64(), Lo: d.I64(), Hi: d.I64(),
 		IntLo: d.I64(), IntHi: d.I64(), Base: d.I64(),
-		Gap: d.I64(), Win: d.I64(), Guard: d.I64(),
-		Sparse: d.U8() != 0, Threshold: d.F64(),
+		Gap: d.I64(), Win: d.I64(),
 		Re: d.Floats(),
 	}
 	j.Im = d.Floats()
@@ -140,8 +126,8 @@ func decodeJob(p []byte) (*wireJob, error) {
 	if len(j.Re) != len(j.Im) {
 		return nil, wireErrf("job %d: re/im length mismatch %d != %d", j.ID, len(j.Re), len(j.Im))
 	}
-	if j.Gap < 0 || j.Win <= 0 || j.Guard < 0 {
-		return nil, wireErrf("job %d: bad geometry gap=%d win=%d guard=%d", j.ID, j.Gap, j.Win, j.Guard)
+	if j.Gap < 0 || j.Win <= 0 {
+		return nil, wireErrf("job %d: bad geometry gap=%d win=%d", j.ID, j.Gap, j.Win)
 	}
 	// The kernel reads local indices [ilo−margin−Base, ihi+margin−Base);
 	// refuse a job whose shipped window cannot cover its own reads, so a

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lf/internal/edgedetect"
+	"lf/internal/wire"
 )
 
 // FuzzWireFrame throws arbitrary bytes at the frame reader and, when
@@ -14,13 +15,23 @@ import (
 // after the fuzzer mutates seed corpora into near-valid frames where
 // only the CRC distinguishes them.
 func FuzzWireFrame(f *testing.F) {
-	// Seed with valid frames of every message type.
+	// Seed with valid frames of every message type, plus a version-1
+	// peer's hello and a job in the version-1 layout, which carried
+	// guard, sparse flag and threshold after Win.
 	hello := &wireHello{Version: protoVersion, Name: "fuzz"}
 	job := &wireJob{ID: 1, Lo: 100, Hi: 200, IntLo: 200, IntHi: 300,
-		Base: 0, Gap: 4, Win: 8, Guard: 6, Threshold: 0.5,
+		Base: 0, Gap: 4, Win: 8,
 		Re: []float64{1, 2}, Im: []float64{3, 4}}
 	res := &wireResult{ID: 1, Mag: []float64{1, 2, 3}}
 	se := &wireShardErr{ID: 1, Stage: "edgedetect", Pos: 5, Msg: "x"}
+	var v1Job wire.Enc
+	for _, x := range []int64{1, 100, 200, 200, 300, 0, 4, 8, 6} {
+		v1Job.I64(x)
+	}
+	v1Job.U8(0)
+	v1Job.F64(0.5)
+	v1Job.Floats([]float64{1, 2})
+	v1Job.Floats([]float64{3, 4})
 	for _, m := range []struct {
 		typ byte
 		p   []byte
@@ -30,6 +41,8 @@ func FuzzWireFrame(f *testing.F) {
 		{msgJob, job.encode()},
 		{msgResult, res.encode()},
 		{msgShardErr, se.encode()},
+		{msgHello, (&wireHello{Version: protoVersion - 1, Name: "v1"}).encode()},
+		{msgJob, v1Job.B},
 	} {
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, m.typ, m.p); err != nil {

@@ -173,8 +173,7 @@ func computeJob(wj *wireJob, compute func(*edgedetect.StripeJob)) (payload []byt
 		Lo: wj.Lo, Hi: wj.Hi,
 		IntLo: wj.IntLo, IntHi: wj.IntHi,
 		Re: wj.Re, Im: wj.Im, Base: wj.Base,
-		Gap: wj.Gap, Win: wj.Win, Guard: wj.Guard,
-		Sparse: wj.Sparse, Threshold: wj.Threshold,
+		Gap: wj.Gap, Win: wj.Win,
 		Dst: make([]float64, wj.Hi-wj.Lo),
 	}
 	if perr := runGuarded(job, compute); perr != nil {

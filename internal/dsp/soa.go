@@ -157,7 +157,12 @@ const sparseBlock = 64
 // positions of context on each side — is zero-filled without computing
 // a single divide or hypot.
 //
-// The proof obligation (DESIGN.md §12): for each block the kernel
+// The decoder no longer calls it: the dense sweep matched or beat it
+// end to end even on mostly quiet captures (DESIGN.md §12), so the
+// edge detector always runs DiffSweep. The kernel stays as the timed
+// reference behind the benchmark's dsp.sweep_sparse_ns_per_sample row.
+//
+// The proof obligation: for each block the kernel
 // computes min/max interval bounds of the windowed sums T(q) =
 // S[q+win] − S[q] over the after- and before-window ranges of every
 // position in the guard-widened block, then evaluates the extreme

@@ -47,10 +47,11 @@ type Config struct {
 	// into chunks whose seams read across chunk boundaries, so the
 	// detected edge set is bit-identical at any setting.
 	Parallelism int
-	// DenseSweep forces the dense differential sweep even after
-	// calibration, disabling the coarse-to-fine skip (DESIGN.md §12).
-	// The detected edge set is bit-identical either way; the knob
-	// exists for A/B benchmarking and debugging.
+	// DenseSweep has no effect.
+	//
+	// Deprecated: the dense sweep is the only sweep. The field remains
+	// only while the benchmark's edgedetect.dense_sweep_rt row sets it,
+	// and goes together with that row.
 	DenseSweep bool
 }
 

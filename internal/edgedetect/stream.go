@@ -48,16 +48,12 @@ type StreamConfig struct {
 	// when ShardWorkers < 2.
 	StripeRunner func(*StripeJob) error
 	// Calib, when non-nil, presets noise calibration: the stream starts
-	// calibrated with the given floor and threshold, no calibration
-	// median is taken, and the coarse-to-fine sweep runs sparse from
-	// position 0. SIC residual decodes use this to carry the first
+	// calibrated with the given floor and threshold, and no calibration
+	// median is taken. SIC residual decodes use this to carry the first
 	// pass's calibration — the noise floor is a property of the channel
 	// and receiver chain, and subtracting decoded signal from the
 	// capture does not change it (DESIGN.md §17). Both values must be
-	// finite and positive. CalibSamples is ignored when set. The
-	// quantized skip tier stays off (its scale is fixed from the
-	// calibration window this stream never observes); the float64
-	// tiers decide identically.
+	// finite and positive. CalibSamples is ignored when set.
 	Calib *CalibPreset
 	// Seed, when non-nil, adopts a pre-folded capture instead of pushed
 	// blocks: the stream aliases the caller's from-origin prefix-sum
@@ -97,12 +93,11 @@ type SweepSeed struct {
 	SumsRe, SumsIm []float64
 	// Active, when non-nil, restricts detection to the given spans:
 	// sorted, disjoint, half-open sample ranges within [0, n].
-	// Differential magnitudes outside them are recorded as zero and the
-	// local-maximum scan never visits them — exactly the sparse tier's
-	// don't-care contract, except the skip decision is the caller's.
-	// The caller owns the soundness argument that out-of-mask positions
-	// carry nothing it wants detected (the SIC dirty-span closure:
-	// DESIGN.md §17). nil sweeps the whole capture.
+	// Differential magnitudes outside them are don't-care values the
+	// local-maximum scan never visits. The caller owns the soundness
+	// argument that out-of-mask positions carry nothing it wants
+	// detected (the SIC dirty-span closure: DESIGN.md §17). nil sweeps
+	// the whole capture.
 	Active []shard.Range
 }
 
@@ -131,9 +126,9 @@ type Stream struct {
 
 	// From-origin prefix sums of the pushed samples, split into
 	// structure-of-arrays real/imaginary components so the differential
-	// sweep kernels (dsp.DiffSweep, dsp.DiffSweepSparse) stream over
-	// plain float64 lanes. sumsRe[j]/sumsIm[j] hold the componentwise
-	// sum of samples [0, sumBase+j); len == front-sumBase+1. Complex
+	// sweep kernel (dsp.DiffSweep) streams over plain float64 lanes.
+	// sumsRe[j]/sumsIm[j] hold the componentwise sum of samples
+	// [0, sumBase+j); len == front-sumBase+1. Complex
 	// addition is componentwise, so the split accumulation is bitwise
 	// identical to the former []complex128 prefix.
 	sumsRe  []float64
@@ -142,26 +137,6 @@ type Stream struct {
 	accRe   float64
 	accIm   float64
 	front   int64 // samples pushed so far
-
-	// Int16 fixed-point shadow of the prefix sums: wrapping int32
-	// accumulations of round(qScale · sample), index-aligned with
-	// sumsRe/sumsIm, feeding the sparse sweep's quantized skip tier
-	// (dsp.DiffSweepSparse16) at half the float64 pair's memory
-	// bandwidth. The scale is fixed at calibration from the largest
-	// component seen; a later sample overflowing the int16 range
-	// disables the shadow for the rest of the capture (the float64
-	// tiers keep every decision identical). maxComp tracks the
-	// pre-calibration component maximum the scale derives from.
-	qRe     []int32
-	qIm     []int32
-	qAccRe  int32
-	qAccIm  int32
-	q16     bool
-	qScale  float64
-	qInv    float64
-	qErr    float64
-	qValid  int64 // quantized entries valid for absolute indices ≥ this
-	maxComp float64
 
 	// Differential magnitudes for positions [magBase, magDone).
 	mag     []float64
@@ -322,9 +297,6 @@ func (s *Stream) Reset() {
 	s.sumsRe = append(s.sumsRe[:0], 0)
 	s.sumsIm = append(s.sumsIm[:0], 0)
 	s.sumBase, s.accRe, s.accIm, s.front = 0, 0, 0, 0
-	s.disableQuant()
-	s.qAccRe, s.qAccIm = 0, 0
-	s.qScale, s.qInv, s.qErr, s.qValid, s.maxComp = 0, 0, 0, 0, 0
 	s.mag = s.mag[:0]
 	s.magBase, s.magDone = 0, 0
 	if len(s.stripes) > 0 {
@@ -369,12 +341,6 @@ func (s *Stream) Push(block []complex128) error {
 	s.sumsIm = extendFloats(s.sumsIm, len(block))
 	re := s.sumsRe[base:]
 	im := s.sumsIm[base:]
-	var qre, qim []int32
-	if s.q16 {
-		s.qRe = extendInt32s(s.qRe, len(block))
-		s.qIm = extendInt32s(s.qIm, len(block))
-		qre, qim = s.qRe[base:], s.qIm[base:]
-	}
 	for i, v := range block {
 		if !sampleOK(v) {
 			s.noteDrop(s.front + int64(i))
@@ -383,35 +349,10 @@ func (s *Stream) Push(block []complex128) error {
 		} else {
 			s.lastFinite = v
 		}
-		preRe, preIm := s.accRe, s.accIm
 		s.accRe += real(v)
 		s.accIm += imag(v)
 		re[i] = s.accRe
 		im[i] = s.accIm
-		if s.q16 {
-			// Quantize the sample as the prefix difference just stored —
-			// the value the dense kernel will consume — so the skip
-			// tier's error bound is front-independent (DESIGN.md §14).
-			qr := math.RoundToEven((s.accRe - preRe) * s.qScale)
-			qi := math.RoundToEven((s.accIm - preIm) * s.qScale)
-			if qr > dsp.QuantClip || qr < -dsp.QuantClip ||
-				qi > dsp.QuantClip || qi < -dsp.QuantClip {
-				s.disableQuant() // frees the arrays qre/qim view
-				qre, qim = nil, nil
-			} else {
-				s.qAccRe += int32(qr)
-				s.qAccIm += int32(qi)
-				qre[i] = s.qAccRe
-				qim[i] = s.qAccIm
-			}
-		} else if !s.calibrated {
-			if a := math.Abs(real(v)); a > s.maxComp {
-				s.maxComp = a
-			}
-			if a := math.Abs(imag(v)); a > s.maxComp {
-				s.maxComp = a
-			}
-		}
 	}
 	s.front += int64(len(block))
 	s.advance()
@@ -445,7 +386,6 @@ func (s *Stream) Close() error {
 	if s.err != nil {
 		return s.err
 	}
-	s.disableQuant() // no sweeps remain; only measurement survives Close
 	if s.mag != nil {
 		pool.PutFloat(s.mag)
 		s.mag = nil
@@ -464,7 +404,6 @@ func (s *Stream) Release() {
 	}
 	s.released = true
 	s.closeShards()
-	s.disableQuant()
 	if !s.extSums {
 		pool.PutFloat(s.sumsRe)
 		pool.PutFloat(s.sumsIm)
@@ -537,8 +476,7 @@ func (s *Stream) SetLowWater(pos int64) {
 // capacity beyond the live window: the backing arrays come from the
 // shared pool and may carry slack amortized across unrelated decodes.
 func (s *Stream) RetainedBytes() int64 {
-	return int64(len(s.sumsRe)+len(s.sumsIm))*8 + int64(len(s.qRe)+len(s.qIm))*4 +
-		int64(len(s.mag))*8 + s.stripeBytes +
+	return int64(len(s.sumsRe)+len(s.sumsIm)+len(s.mag))*8 + s.stripeBytes +
 		int64(len(s.raw)+len(s.kept))*16 + s.nms.RetainedBytes() +
 		int64(len(s.groups)-s.ghead)*32
 }
@@ -646,69 +584,6 @@ func (s *Stream) blankDropped(lo, hi, margin int64) {
 	}
 }
 
-// enableQuant fixes the fixed-point scale from the calibration-window
-// component maximum and backfills the quantized prefix shadow over the
-// retained samples (calibration precedes any trim, so the sums still
-// start at the origin). An out-of-range sample — possible only if the
-// capture's components grow past ~2x the calibration maximum — aborts
-// the backfill and leaves the float64 path in sole charge.
-func (s *Stream) enableQuant() {
-	s.qScale = dsp.QuantTarget / s.maxComp
-	s.qInv = s.maxComp / dsp.QuantTarget
-	// Any admitted quantized sample has |component| ≤ (QuantClip+1)·qInv,
-	// which bounds the ε term of the skip tier's error margin.
-	s.qErr = dsp.QuantErr(s.qInv, (dsp.QuantClip+1)*s.qInv)
-	// Only the tail of the calibrated window is reachable by future
-	// sweeps: an extension starting at position p reads prefix indices
-	// ≥ p − (Gap+Win) − guard, and every future extension starts at
-	// magDone or later. The skip tier consumes only window differences,
-	// so the wrapping accumulation may start at any base — entries below
-	// jStart are left as uninitialized never-read filler, saving the
-	// full-window backfill pass. advance() re-checks the reachability
-	// floor before dispatching the quantized kernel.
-	n := len(s.sumsRe)
-	reach := int(s.cfg.Gap+s.cfg.Win+s.cfg.Gap+2) + 64
-	jStart := int(s.magDone-s.sumBase) - reach
-	if jStart < 0 {
-		jStart = 0
-	}
-	s.qValid = s.sumBase + int64(jStart)
-	s.qRe = pool.Int32sUninit(n)
-	s.qIm = pool.Int32sUninit(n)
-	s.qRe[jStart] = 0
-	s.qIm[jStart] = 0
-	var ar, ai int32
-	for j := jStart + 1; j < n; j++ {
-		qr := math.RoundToEven((s.sumsRe[j] - s.sumsRe[j-1]) * s.qScale)
-		qi := math.RoundToEven((s.sumsIm[j] - s.sumsIm[j-1]) * s.qScale)
-		if qr > dsp.QuantClip || qr < -dsp.QuantClip ||
-			qi > dsp.QuantClip || qi < -dsp.QuantClip {
-			s.disableQuant()
-			return
-		}
-		ar += int32(qr)
-		ai += int32(qi)
-		s.qRe[j] = ar
-		s.qIm[j] = ai
-	}
-	s.qAccRe, s.qAccIm = ar, ai
-	s.q16 = true
-}
-
-// disableQuant retires the quantized prefix shadow; every subsequent
-// sweep runs the pure float64 sparse kernel.
-func (s *Stream) disableQuant() {
-	if s.qRe != nil {
-		pool.PutInt32s(s.qRe)
-		pool.PutInt32s(s.qIm)
-		s.qRe, s.qIm = nil, nil
-	}
-	s.q16 = false
-}
-
-// Quantized reports whether the int16 fixed-point skip tier is active.
-func (s *Stream) Quantized() bool { return s.q16 }
-
 // futureFirstMin lower-bounds the first-peak position of any group not
 // yet coalesced: pending raw maxima (or any maximum yet to be scanned)
 // sit at min(raw[0].Pos, scanned) or later, and centroiding moves a
@@ -732,26 +607,9 @@ func (s *Stream) advance() {
 	// so pre-Close only positions below front−margin are computable;
 	// margins at both capture ends are blanked exactly as in the batch
 	// detector (clamped half-windows would read as phantom edges).
-	//
-	// Once the threshold is fixed, the sweep runs coarse-to-fine
-	// (dsp.DiffSweepSparse): sub-threshold blocks are zero-filled
-	// instead of computed. The zero is a don't-care — every read the
-	// later stages perform on such a position takes the same branch as
-	// it would on the true (sub-threshold) dense value, and every
-	// position within guard = Gap+2 samples of a threshold-crossing
-	// position is computed exactly (DESIGN.md §12). Pre-Close, sparse
-	// extensions additionally hold back the last `guard` computable
-	// positions so each position's guard context is fully inside the
-	// known interior when its skip decision is taken; every downstream
-	// horizon (scan, flushPeaks, futureFirstMin) is monotone in
-	// magDone, so the deferral delays decisions without changing them.
-	guard := g + 2
-	sparse := s.calibrated && !s.cfg.DenseSweep && s.threshold > 0
 	hi := s.front - margin
 	if s.eof {
 		hi = s.total
-	} else if sparse {
-		hi -= guard
 	}
 	if s.shardOn() {
 		// Shard mode: the sweep runs on the stripe pool instead of
@@ -759,7 +617,7 @@ func (s *Stream) advance() {
 		// order (stripe.go). Every downstream stage is monotone in
 		// magDone, so the adoption lag delays decisions without changing
 		// them.
-		s.shardSweep(hi, sparse)
+		s.shardSweep(hi)
 		if s.err != nil {
 			return
 		}
@@ -769,12 +627,6 @@ func (s *Stream) advance() {
 		s.mag = extendFloats(s.mag, count)
 		limit := s.limit()
 		intLo, intHi := margin, limit-margin
-		// The quantized shadow is only consulted when every prefix index
-		// this extension can reach is above its validity floor (it holds
-		// by construction — enableQuant leaves `reach` slack below the
-		// magDone it was built at — but the floor is what the proof
-		// stands on, so check it, not the construction).
-		useQ := s.q16 && max(lo, intLo)-guard-margin >= s.qValid
 		sweepChunk := func(plo, phi int64) {
 			ilo := max(plo, intLo)
 			ihi := min(phi, intHi)
@@ -782,18 +634,8 @@ func (s *Stream) advance() {
 				s.mag[p-s.magBase] = 0
 			}
 			if ilo < ihi {
-				j0 := int(ilo - s.sumBase)
-				dst := s.mag[ilo-s.magBase : ihi-s.magBase]
-				switch {
-				case sparse && useQ:
-					dsp.DiffSweepSparse16(s.qRe, s.qIm, s.sumsRe, s.sumsIm, j0, g, w, guard,
-						s.qErr, s.qInv, s.threshold, int(intLo-s.sumBase), int(intHi-s.sumBase), dst)
-				case sparse:
-					dsp.DiffSweepSparse(s.sumsRe, s.sumsIm, j0, g, w, guard,
-						s.threshold, int(intLo-s.sumBase), int(intHi-s.sumBase), dst)
-				default:
-					dsp.DiffSweep(s.sumsRe, s.sumsIm, j0, g, w, dst)
-				}
+				dsp.DiffSweep(s.sumsRe, s.sumsIm, int(ilo-s.sumBase), g, w,
+					s.mag[ilo-s.magBase:ihi-s.magBase])
 			}
 			for p := max(ihi, plo); p < phi; p++ {
 				s.mag[p-s.magBase] = 0
@@ -872,15 +714,6 @@ func (s *Stream) advance() {
 			s.threshold = min
 		}
 		s.calibrated = true
-		// Calibration fixes the quantization scale; the shadow only pays
-		// off for sweeps still to come, so a capture that calibrates at
-		// Close (or one forced dense) never builds it. Shard mode skips
-		// it too: the backfill rewrites the shadow arrays under
-		// in-flight stripe readers, and the float64 tiers decide
-		// identically (stripe.go).
-		if !s.eof && !s.cfg.DenseSweep && s.threshold > 0 && s.maxComp > 0 && !s.shardOn() {
-			s.enableQuant()
-		}
 	}
 
 	// 3. Local-maximum scan. Serial by construction (it is a trivial
@@ -1084,11 +917,8 @@ func (s *Stream) trim() {
 	span := g + 2
 
 	keepSum := s.lowWater - g - mw
-	if k := s.magDone - g - s.cfg.Win - span; k < keepSum {
-		// The next differential extension reads from magDone−Gap−Win;
-		// the sparse kernel's skip bound additionally reaches span =
-		// Gap+2 guard positions further back (DESIGN.md §12).
-		keepSum = k
+	if k := s.magDone - g - s.cfg.Win; k < keepSum {
+		keepSum = k // the next differential extension's leading window
 	}
 	if k := s.futureFirstMin() - g - mw; k < keepSum {
 		keepSum = k // a future group's leading window
@@ -1126,8 +956,7 @@ func (s *Stream) dropSums(keep int64) {
 		// readers (and the GC). No gate or drain needed, which matters
 		// in shard mode: a stripe is nearly always in flight and the
 		// fast detect stage keeps the ack gate closed, so a gated
-		// in-place compaction would almost never run. (The quantized
-		// shadow never exists in shard mode; see enableQuant.)
+		// in-place compaction would almost never run.
 		n := len(s.sumsRe) - int(drop)
 		re := pool.FloatUninit(n)
 		im := pool.FloatUninit(n)
@@ -1148,12 +977,6 @@ func (s *Stream) dropSums(keep int64) {
 	copy(s.sumsIm, s.sumsIm[drop:])
 	s.sumsRe = s.sumsRe[:n]
 	s.sumsIm = s.sumsIm[:n]
-	if s.q16 {
-		copy(s.qRe, s.qRe[drop:])
-		copy(s.qIm, s.qIm[drop:])
-		s.qRe = s.qRe[:n]
-		s.qIm = s.qIm[:n]
-	}
 	s.sumBase = keep
 }
 
@@ -1173,15 +996,6 @@ func (s *Stream) dropMag(keep int64) {
 // extendFloats grows b by n entries without zeroing them (every caller
 // overwrites the extension) and without a temporary allocation.
 func extendFloats(b []float64, n int) []float64 {
-	need := len(b) + n
-	for cap(b) < need {
-		b = append(b[:cap(b)], 0)
-	}
-	return b[:need]
-}
-
-// extendInt32s is extendFloats for the quantized prefix lanes.
-func extendInt32s(b []int32, n int) []int32 {
 	need := len(b) + n
 	for cap(b) < need {
 		b = append(b[:cap(b)], 0)

@@ -5,43 +5,32 @@ package edgedetect
 // stripes — contiguous owned ranges of magnitude positions — that a
 // pull-based worker pool (internal/shard) computes concurrently while
 // the owner goroutine keeps pushing samples and running the serial
-// stages. The stripes are the in-process shards of the ISSUE's
-// seam-safe sharded decode: stage 1 is where the decode spends most of
-// its time, it is the only per-sample stage, and every downstream
-// stage (calibration, scan, NMS/coalesce, refinement, walking) is
-// provably monotone in the sweep horizon magDone, so delaying a
-// position's availability never changes any decision about it.
+// stages. Stage 1 is where the decode spends most of its time, it is
+// the only per-sample stage, and every downstream stage (calibration,
+// scan, NMS/coalesce, refinement, walking) is provably monotone in the
+// sweep horizon magDone, so delaying a position's availability never
+// changes any decision about it.
 //
 // Seam safety. A stripe owns positions [lo, hi) but its kernel reads
-// prefix sums over [lo − SweepReach, hi + SweepMargin]: the overlap
-// with its neighbours is exactly the shard.SweepReach cut distance
-// derived from the detector geometry, and a stripe is only dispatched
-// once every prefix index it can read has been pushed (hi ≤
-// front − margin, minus the sparse guard holdback pre-Close — the same
-// horizons the serial sweep uses). Workers therefore read only settled
-// entries of the append-only prefix arrays: Push writes indices the
-// snapshot's length never covered, compaction (dropSums) copies the
-// retained tail out into fresh arrays rather than rewriting the shared
-// ones in place, and growth reallocation leaves the snapshotted
-// backing array intact.
+// prefix sums over [lo − SweepMargin, hi + SweepMargin]: the overlap
+// with its neighbours is the differential window margin derived from
+// the detector geometry, and a stripe is only dispatched once every
+// prefix index it can read has been pushed (hi ≤ front − margin
+// pre-Close — the same horizon the serial sweep uses). Workers
+// therefore read only settled entries of the append-only prefix
+// arrays: Push writes indices the snapshot's length never covered,
+// compaction (dropSums) copies the retained tail out into fresh arrays
+// rather than rewriting the shared ones in place, and growth
+// reallocation leaves the snapshotted backing array intact.
 //
 // Determinism. Each stripe computes into a job-owned buffer with the
-// same kernels, the same from-origin prefix sums, and the same
-// interior bounds the serial sweep would use, so every owned position's
-// value is bit-identical to the serial sweep's — except don't-care
-// zeros from the sparse skip tier, whose placement may differ with
-// stripe boundaries exactly as it already differs with worker count
-// and block size (DESIGN.md §12's skip-soundness argument: every read
-// downstream stages perform takes the same branch either way). The
-// owner adopts completed stripes strictly in submission order (the
-// overlap-dedup rule: only the owned range enters s.mag), so the
-// merged magnitude series, and hence the decode, is byte-identical to
-// ShardParallelism = 1 at any shard count.
-//
-// The int16 quantized skip tier is not built in shard mode: its shadow
-// arrays are rewritten by enableQuant's backfill under in-flight
-// readers, and skipping it is output-invariant by the same §12
-// argument (the float64 tiers make every decision identically).
+// same kernel, the same from-origin prefix sums, and the same interior
+// bounds the serial sweep would use, so every owned position's value
+// is bit-identical to the serial sweep's. The owner adopts completed
+// stripes strictly in submission order (the overlap-dedup rule: only
+// the owned range enters s.mag), so the merged magnitude series, and
+// hence the decode, is byte-identical to ShardParallelism = 1 at any
+// shard count.
 
 import (
 	"fmt"
@@ -104,18 +93,15 @@ type StripeJob struct {
 	// absolute sample position of Re[0]/Im[0].
 	Re, Im []float64
 	Base   int64
-	// Detector geometry and sparse-tier controls.
-	Gap, Win, Guard int64
-	Sparse          bool
-	Threshold       float64
+	// Detector geometry.
+	Gap, Win int64
 	// Dst is the job-owned output buffer.
 	Dst []float64
 }
 
 // Run computes the stripe in-process.
 func (j *StripeJob) Run() {
-	sweepStripe(j.Dst, j.Re, j.Im, j.Base, j.Lo, j.Hi, j.IntLo, j.IntHi,
-		j.Gap, j.Win, j.Guard, j.Sparse, j.Threshold)
+	sweepStripe(j.Dst, j.Re, j.Im, j.Base, j.Lo, j.Hi, j.IntLo, j.IntHi, j.Gap, j.Win)
 }
 
 // shardOn reports whether the sharded sweep is active.
@@ -127,9 +113,9 @@ func (s *Stream) shardOn() bool { return s.shards != nil }
 // stripe only delays magDone, never the caller — while at Close the
 // owner drains every stripe so the detector's horizons reach the
 // capture end.
-func (s *Stream) shardSweep(hi int64, sparse bool) {
+func (s *Stream) shardSweep(hi int64) {
 	if !s.eof {
-		s.dispatchStripes(hi, sparse)
+		s.dispatchStripes(hi)
 		s.adoptStripes(false)
 		// Backpressure: the adopted horizon may trail the computable one
 		// by at most the in-flight window plus one stripe. Past that the
@@ -142,12 +128,12 @@ func (s *Stream) shardSweep(hi int64, sparse bool) {
 		lag := int64(maxStripesInFlight*s.shards.Workers()+1) * stripeSamples
 		for s.err == nil && len(s.stripes) > 0 && hi-s.magDone > lag {
 			s.adoptStripes(true)
-			s.dispatchStripes(hi, sparse)
+			s.dispatchStripes(hi)
 		}
 		return
 	}
 	for s.err == nil && s.magDone < hi {
-		s.dispatchStripes(hi, sparse)
+		s.dispatchStripes(hi)
 		if len(s.stripes) == 0 {
 			break
 		}
@@ -161,25 +147,25 @@ func (s *Stream) shardSweep(hi int64, sparse bool) {
 // dispatchStripes enqueues stripes covering [stripeFront, hi) up to
 // the in-flight bound. Each stripe snapshots everything its kernel
 // reads — slice headers of the append-only prefix arrays plus the
-// interior bounds and threshold at dispatch time — so the job is
-// self-contained and the owner's state can keep moving.
-func (s *Stream) dispatchStripes(hi int64, sparse bool) {
+// interior bounds at dispatch time — so the job is self-contained and
+// the owner's state can keep moving.
+func (s *Stream) dispatchStripes(hi int64) {
 	bound := maxStripesInFlight * s.shards.Workers()
 	for len(s.stripes) < bound {
 		r, ok := shard.Next(s.stripeFront, hi, stripeSamples, minStripeSamples, s.eof)
 		if !ok {
 			return
 		}
-		s.enqueueStripe(r, sparse)
+		s.enqueueStripe(r)
 	}
 }
 
-func (s *Stream) enqueueStripe(r shard.Range, sparse bool) {
+func (s *Stream) enqueueStripe(r shard.Range) {
 	st := &stripe{lo: r.Lo, hi: r.Hi, mag: pool.FloatUninit(int(r.Len()))}
 	// Snapshot the kernel inputs. The interior bounds derive from the
 	// limit at dispatch time exactly as the serial sweep's do from the
 	// limit at compute time; a pre-Close stripe satisfies hi ≤
-	// limit − margin (− guard when sparse), so its trailing-blank
+	// limit − margin, so its trailing-blank
 	// branch never fires early — only the Close-time stripes blank the
 	// capture's tail margin, as in the serial sweep.
 	g, w := s.cfg.Gap, s.cfg.Win
@@ -188,8 +174,7 @@ func (s *Stream) enqueueStripe(r shard.Range, sparse bool) {
 		Lo: r.Lo, Hi: r.Hi,
 		IntLo: margin, IntHi: s.limit() - margin,
 		Re: s.sumsRe, Im: s.sumsIm, Base: s.sumBase,
-		Gap: g, Win: w, Guard: shard.SweepGuard(g),
-		Sparse: sparse, Threshold: s.threshold,
+		Gap: g, Win: w,
 		Dst: st.mag,
 	}
 	if run := s.stripeRun; run != nil {
@@ -216,21 +201,14 @@ func (s *Stream) enqueueStripe(r shard.Range, sparse bool) {
 // its job-owned buffer — the serial sweep's chunk body over snapshot
 // inputs. It runs on a pool worker; everything it touches is either
 // the job-owned dst or settled read-only prefix entries.
-func sweepStripe(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w, guard int64, sparse bool, threshold float64) {
+func sweepStripe(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w int64) {
 	ilo := max(lo, intLo)
 	ihi := min(hi, intHi)
 	for p := lo; p < min(ilo, hi); p++ {
 		dst[p-lo] = 0
 	}
 	if ilo < ihi {
-		j0 := int(ilo - base)
-		out := dst[ilo-lo : ihi-lo]
-		if sparse {
-			dsp.DiffSweepSparse(re, im, j0, g, w, guard,
-				threshold, int(intLo-base), int(intHi-base), out)
-		} else {
-			dsp.DiffSweep(re, im, j0, g, w, out)
-		}
+		dsp.DiffSweep(re, im, int(ilo-base), g, w, dst[ilo-lo:ihi-lo])
 	}
 	for p := max(ihi, lo); p < hi; p++ {
 		dst[p-lo] = 0

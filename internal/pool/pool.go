@@ -24,7 +24,6 @@ var (
 	complexPool sync.Pool // *[]complex128
 	floatPool   sync.Pool // *[]float64
 	bytePool    sync.Pool // *[]byte
-	int32Pool   sync.Pool // *[]int32
 )
 
 // Complex returns a zeroed []complex128 of length n.
@@ -93,38 +92,6 @@ func FloatUninit(n int) []float64 {
 func PutFloat(buf []float64) {
 	if cap(buf) >= minRetain {
 		floatPool.Put(&buf)
-	}
-}
-
-// Int32s returns a zeroed []int32 of length n (quantized prefix sums).
-func Int32s(n int) []int32 {
-	if v := int32Pool.Get(); v != nil {
-		buf := *v.(*[]int32)
-		if cap(buf) >= n {
-			buf = buf[:n]
-			clear(buf)
-			return buf
-		}
-	}
-	return make([]int32, n)
-}
-
-// Int32sUninit is Int32s without the clear, for callers that provably
-// never read unwritten elements.
-func Int32sUninit(n int) []int32 {
-	if v := int32Pool.Get(); v != nil {
-		buf := *v.(*[]int32)
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]int32, n)
-}
-
-// PutInt32s recycles a buffer obtained from Int32s.
-func PutInt32s(buf []int32) {
-	if cap(buf) >= minRetain {
-		int32Pool.Put(&buf)
 	}
 }
 

@@ -9,9 +9,8 @@
 // distances. Every decode stage reads a bounded sample neighbourhood:
 //
 //   - The differential sweep at position p reads prefix sums over
-//     p ± (Gap+Win), and the sparse skip tier additionally consults a
-//     Gap+2 guard context around each threshold decision (DESIGN.md
-//     §12). SweepReach bounds both.
+//     p ± (Gap+Win) (SweepMargin), and peak centroiding reads the
+//     magnitudes within Gap+2 of each peak. SweepReach bounds both.
 //   - Stream registration reads no edge past
 //     streams.RegistrationHorizon, and the frame walk past a stream's
 //     registration reads no edge beyond streams.WalkHorizon.
@@ -45,17 +44,13 @@ func (r Range) Len() int64 { return r.Hi - r.Lo }
 // [p-gap-win, p+gap+win], so prefix sums must cover that span.
 func SweepMargin(gap, win int64) int64 { return gap + win }
 
-// SweepGuard is the context the sparse sweep's skip tier consults
-// around each threshold decision (DESIGN.md §12): a position within
-// gap+2 samples of a threshold crossing is always computed exactly.
-func SweepGuard(gap int64) int64 { return gap + 2 }
-
-// SweepReach is the farthest sample distance a shard's sweep kernel
-// can read outside its owned range: the differential window margin
-// plus the skip tier's guard context. Adjacent sweep shards must
-// overlap by at least this much for each to compute its owned
-// positions exactly as the serial sweep would.
-func SweepReach(gap, win int64) int64 { return SweepMargin(gap, win) + SweepGuard(gap) }
+// SweepReach is the farthest sample distance at which a change to the
+// input can alter edge detection at a position: the differential
+// window margin, plus the gap+2 neighbourhood that peak centroiding
+// reads around each peak. Beyond it every magnitude the detector
+// consults is computed from byte-identical input, which is what the
+// SIC dirty-span closure widens its spans by (DESIGN.md §17).
+func SweepReach(gap, win int64) int64 { return SweepMargin(gap, win) + gap + 2 }
 
 // Next plans the next shard to dispatch: positions below covered are
 // already owned by earlier shards, positions below avail are

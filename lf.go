@@ -382,16 +382,17 @@ type DecoderConfig struct {
 	// (sliding trellis window with truncation). 0 selects the default
 	// window; see the viterbi package for the exactness contract.
 	ViterbiWindow int
-	// ForceDenseSweep disables the edge detector's coarse-to-fine
-	// differential sweep, forcing the dense kernel at every position.
-	// Decodes are bit-identical either way (DESIGN.md §12); the knob
-	// exists for A/B benchmarking and debugging.
+	// ForceDenseSweep has no effect.
+	//
+	// Deprecated: the dense sweep is the only sweep. The field remains
+	// only while the benchmark's edgedetect.dense_sweep_rt row sets it,
+	// and goes together with that row.
 	ForceDenseSweep bool
 	// ForceFullResidual disables incremental SIC, forcing every
 	// cancellation round to rebuild the residual capture and re-decode
 	// it from scratch. Decodes are bit-identical either way (DESIGN.md
 	// §17); the knob exists for A/B benchmarking and equivalence tests
-	// (sic_equivalence_test.go), mirroring ForceDenseSweep.
+	// (sic_equivalence_test.go).
 	ForceFullResidual bool
 	// CancellationRounds overrides successive interference cancellation:
 	// 0 keeps the default (3 rounds), negative disables. SIC needs the
@@ -531,7 +532,6 @@ func NewDecoder(cfg DecoderConfig) (*Decoder, error) {
 	dc.StageDepth = cfg.StageDepth
 	dc.CalibSamples = cfg.CalibSamples
 	dc.ViterbiWindow = cfg.ViterbiWindow
-	dc.ForceDenseSweep = cfg.ForceDenseSweep
 	dc.ForceFullResidual = cfg.ForceFullResidual
 	dc.OnFrame = cfg.OnFrame
 	dc.Tracer = cfg.Tracer

@@ -9,13 +9,14 @@ import (
 	"lf/internal/fault"
 )
 
-// TestSparseSweepMatchesDense is the referee for the coarse-to-fine
-// edge sweep (DESIGN.md §12): for fault-injected captures across every
-// capture-level impairment kind, decoding with the sparse kernel must
-// be byte-identical to decoding with ForceDenseSweep — through the
-// batch path and through streaming at block sizes 1, 4096, and
-// whole-capture. CalibSamples is set so the sparse path genuinely
-// engages (the dense calibration prefix ends mid-capture).
+// TestSparseSweepMatchesDense holds the decoder to its one-sweep
+// contract (DESIGN.md §12): the deprecated ForceDenseSweep field must
+// select nothing, so for fault-injected captures across every
+// capture-level impairment kind the default decode is byte-identical
+// to the decode with ForceDenseSweep set — through the batch path and
+// through streaming at block sizes 1, 4096, and whole-capture.
+// CalibSamples is set so streaming genuinely runs incrementally (the
+// calibration prefix ends mid-capture).
 func TestSparseSweepMatchesDense(t *testing.T) {
 	blocks := func(n int) []int {
 		if testing.Short() {
@@ -40,14 +41,14 @@ func TestSparseSweepMatchesDense(t *testing.T) {
 				dcfg := cfg
 				dcfg.ForceDenseSweep = true
 				dense := decodeWith(t, ep2, dcfg, 0)
-				sparse := decodeWith(t, ep2, cfg, 0)
-				if !reflect.DeepEqual(dense, sparse) {
-					t.Fatal("sparse batch decode diverged from dense")
+				batch := decodeWith(t, ep2, cfg, 0)
+				if !reflect.DeepEqual(dense, batch) {
+					t.Fatal("batch decode diverged with ForceDenseSweep set")
 				}
 				for _, block := range blocks(len(impaired.Samples)) {
 					streamed := streamDecode(t, ep2, cfg, block)
-					if !reflect.DeepEqual(dense, streamed) {
-						t.Fatalf("sparse streaming decode at block=%d diverged from dense batch", block)
+					if !reflect.DeepEqual(batch, streamed) {
+						t.Fatalf("streaming decode at block=%d diverged from batch", block)
 					}
 				}
 			})
