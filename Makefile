@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 
 .PHONY: all build vet test race race-stream bench benchjson benchguard \
-	fuzz fuzz-smoke kernel-smoke obs-smoke stage-smoke shard-smoke \
+	fuzz fuzz-smoke kernel-smoke obs-smoke shard-smoke \
 	sic-smoke dist-smoke gate-smoke robustness-smoke lfperf-smoke profile \
 	ci clean
 
@@ -76,27 +76,17 @@ kernel-smoke:
 obs-smoke:
 	$(GO) test -race -run 'TestGolden|TestMetricsConservation|TestStatsDeterminism' .
 
-# Stage-graph smoke: the pipelined decoder's bit-identity sweep
-# (stage depth x fault kind x block size, plus goroutine-leak and
-# shutdown checks) under the race detector, the stage primitives'
-# unit tests, and one lfbench stage-breakdown run so the per-stage
-# occupancy path stays wired end to end.
-stage-smoke:
-	$(GO) test -race -run 'TestStageGraph' .
-	$(GO) test -race ./internal/stage
-	$(GO) run ./cmd/lfbench -exp stages -quick
-
 # Sharded-decode smoke: the shard-vs-serial byte-identity sweep (shard
-# counts {1,2,8} x block sizes x all fault kinds, stage-graph
-# composition, batch + SIC inheritance, stats conservation, shutdown
-# leak check) under the race detector, plus the shard pool/tiling
-# primitives' unit tests.
+# counts {1,2,8} x block sizes x all fault kinds, batch + SIC
+# inheritance, stats conservation, lifecycle and shutdown leak check)
+# under the race detector, plus the shard pool/tiling primitives' unit
+# tests.
 shard-smoke:
 	$(GO) test -race -run 'TestSharded' .
 	$(GO) test -race ./internal/shard
 
 # Incremental-SIC smoke: the dirty-span vs ForceFullResidual
-# byte-identity matrix (fault kinds x rounds, block/shard/pipeline
+# byte-identity matrix (fault kinds x rounds, block/shard
 # composition, vacuity guard) under the race detector, the prefix
 # subtract-and-repair unit suite, and one quick sic experiment run so
 # the redecode-fraction measurement path stays wired end to end.
@@ -159,7 +149,7 @@ profile:
 	$(GO) run ./cmd/lfbench -benchjson /tmp/lfbench-profile.json \
 		-cpuprofile lfbench.cpu.prof -memprofile lfbench.mem.prof
 
-ci: vet build test race race-stream fuzz-smoke kernel-smoke obs-smoke stage-smoke shard-smoke sic-smoke dist-smoke gate-smoke robustness-smoke benchguard lfperf-smoke
+ci: vet build test race race-stream fuzz-smoke kernel-smoke obs-smoke shard-smoke sic-smoke dist-smoke gate-smoke robustness-smoke benchguard lfperf-smoke
 
 clean:
 	$(GO) clean ./...

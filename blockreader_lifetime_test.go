@@ -16,12 +16,12 @@ import (
 // ReadBlock's pooled-buffer lifetime on the truncation path: a short
 // final read must deliver the samples decoded before the error in a
 // buffer the caller exclusively owns — never a buffer that was also
-// returned to the shared pool. The decode runs pipelined over
-// PushOwned (so earlier ReadBlock buffers sit live in the stage queue)
-// and the pool is poisoned with NaN scribbles between pushes,
-// simulating a concurrent pool consumer; if ReadBlock ever pools a
-// buffer the caller holds, the scribbles land in queued samples and
-// the decode diverges from the plain-Push reference.
+// returned to the shared pool. Each block is fed to PushOwned, and
+// between ReadBlock returning it and the push the pool is poisoned
+// with NaN scribbles, simulating a concurrent pool consumer; if
+// ReadBlock ever pools a buffer it hands to the caller, the scribbles
+// land in that block's samples and the decode diverges from the
+// plain-Push reference.
 func TestReadBlockPartialFinalBufferOwnership(t *testing.T) {
 	ep, cfg := buildEpoch(t, 4, 11)
 	cfg.CalibSamples = 32768
@@ -45,9 +45,7 @@ func TestReadBlockPartialFinalBufferOwnership(t *testing.T) {
 	}
 	defer br.Close()
 
-	pcfg := cfg
-	pcfg.PipelineParallelism = 2
-	dec, err := lf.NewDecoder(pcfg)
+	dec, err := lf.NewDecoder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +62,18 @@ func TestReadBlockPartialFinalBufferOwnership(t *testing.T) {
 			if rerr != nil {
 				sawPartial = true
 			}
-			if perr := sd.PushOwned(blk); perr != nil {
-				t.Fatal(perr)
-			}
 			// Poison: draw scratch buffers from the shared pool, scribble
-			// them, and return them. Any live buffer wrongly sitting in
-			// the pool gets NaNs written over its samples.
+			// them, and return them. A live buffer wrongly sitting in the
+			// pool gets NaNs written over its samples before the push.
 			for i := 0; i < 4; i++ {
 				p := pool.ComplexUninit(block)
 				for j := range p {
 					p[j] = complex(math.NaN(), math.NaN())
 				}
 				pool.PutComplex(p)
+			}
+			if perr := sd.PushOwned(blk); perr != nil {
+				t.Fatal(perr)
 			}
 		}
 		if rerr != nil {

@@ -6,7 +6,7 @@ package main
 // (num_cpu, gomaxprocs), failing on a >15% ns/op or allocs/op
 // regression. Only the pipeline stages whose performance this repo
 // actively defends are gated (decode, edgedetect, decode/streaming and
-// its pipelined/sharded variants); synthesize and serialization are
+// its sharded variant); synthesize and serialization are
 // informational. A machine with no recorded section FAILS the guard —
 // the old warn-and-skip silently waived the gate on every multi-core
 // box because the committed baseline was 1-core only.
@@ -49,11 +49,10 @@ const sicRedecodeSlack = 0.15
 
 // guardedBenches are the benchmark names the guard gates on.
 var guardedBenches = map[string]bool{
-	"decode":                     true,
-	"edgedetect":                 true,
-	"decode/streaming":           true,
-	"decode/streaming/pipelined": true,
-	"decode/streaming/sharded":   true,
+	"decode":                   true,
+	"edgedetect":               true,
+	"decode/streaming":         true,
+	"decode/streaming/sharded": true,
 }
 
 // shardedRealtimeFloor is the absolute realtime_factor_sharded gate on

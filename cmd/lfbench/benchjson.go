@@ -79,11 +79,6 @@ type streamingMetrics struct {
 	// fails the guard (skipped, like every baseline comparison, when
 	// the machine is not comparable).
 	RealtimeFactor float64 `json:"realtime_factor"`
-	// RealtimeFactorPipelined is the same measurement with the
-	// stage-graph decoder (PipelineParallelism=2). On a single-core
-	// host it tracks RealtimeFactor minus queue overhead; with spare
-	// cores the detect and walk stages overlap and it pulls ahead.
-	RealtimeFactorPipelined float64 `json:"realtime_factor_pipelined,omitempty"`
 	// RealtimeFactorSharded is the same measurement with the
 	// data-parallel sharded sweep (DecoderConfig.ShardParallelism), at
 	// the best shard count in the swept ladder. On a single-core host
@@ -273,38 +268,6 @@ func profileStreaming(net *lf.Network, ep *lf.Epoch) (*streamingMetrics, benchRe
 		m.RealtimeFactor = m.SamplesPerSecSustained / ep.Capture.SampleRate
 	}
 	return m, r, nil
-}
-
-// profilePipelined measures the stage-graph streaming decode
-// (PipelineParallelism=2) and returns its benchmark row plus realtime
-// factor.
-func profilePipelined(net *lf.Network, ep *lf.Epoch) (benchResult, float64, error) {
-	cfg := net.DecoderConfig()
-	cfg.CalibSamples = streamBenchCalib
-	cfg.PipelineParallelism = 2
-	dec, err := lf.NewDecoder(cfg)
-	if err != nil {
-		return benchResult{}, 0, err
-	}
-	r := measure("decode/streaming/pipelined", 2, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := dec.NewStream()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := ep.Blocks(streamBenchBlock, s.Push); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Flush(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rt := 0.0
-	if r.NsPerOp > 0 {
-		rt = float64(ep.Capture.Len()) / (r.NsPerOp / 1e9) / ep.Capture.SampleRate
-	}
-	return r, rt, nil
 }
 
 // shardSweepCounts is the shard-count ladder the sharded streaming
@@ -602,13 +565,6 @@ func buildBenchReport(seed int64) (*benchReport, error) {
 	}
 	report.Streaming = streaming
 	report.Benchmarks = append(report.Benchmarks, streamBench)
-
-	pipeBench, pipeRT, err := profilePipelined(net, ep)
-	if err != nil {
-		return nil, err
-	}
-	streaming.RealtimeFactorPipelined = pipeRT
-	report.Benchmarks = append(report.Benchmarks, pipeBench)
 
 	shardRows, shardRT, err := profileSharded(net, ep)
 	if err != nil {

@@ -5,20 +5,14 @@
 // Usage:
 //
 //	lfsim [-tags N] [-rate bps] [-payload-ms ms] [-seed N] [-workers N]
-//	      [-stream] [-block N] [-calib N] [-pipeline N] [-shards N]
+//	      [-stream] [-block N] [-calib N] [-shards N]
 //	      [-record FILE] [-replay FILE]
 //	      [-fault SPEC] [-fault-seed N] [-stats] [-v]
 //
-// -pipeline (with -stream) selects the streaming decoder's execution
-// shape: 0 or 1 decodes inline on the pushing goroutine, >= 2 runs the
-// pipeline-parallel stage graph (edge detection and walking overlap on
-// separate goroutines). The decode is bit-identical either way; with
-// -stats the per-stage queue counters show the overlap.
-//
-// -shards (with -stream) adds data parallelism within the detect
-// stage: the differential sweep is carved into seam-safe stripes
-// decoded by a worker pool. Byte-identical at any shard count, and it
-// composes with -pipeline; -stats shows the stripe counters.
+// -shards (with -stream) adds data parallelism to edge detection: the
+// differential sweep is carved into seam-safe stripes decoded by a
+// worker pool. Byte-identical at any shard count; -stats shows the
+// stripe counters.
 //
 // -fault injects deterministic impairments before decoding, e.g.
 // -fault burst:0.5,dropout:0.3,nonfinite:1 — see internal/fault for
@@ -55,8 +49,7 @@ func main() {
 	stream := flag.Bool("stream", false, "decode through the streaming pipeline (bounded memory, frames surface mid-capture); bit-identical to batch")
 	block := flag.Int("block", 8192, "streaming block size in samples (with -stream)")
 	calib := flag.Int64("calib", 32768, "noise-calibration sample budget for -stream (0 defers decoding to end of capture)")
-	pipeline := flag.Int("pipeline", 0, "streaming stage-graph parallelism (with -stream): 0/1 = inline, >=2 = pipelined detect/walk stages; bit-identical either way")
-	shards := flag.Int("shards", 0, "data-parallel shard workers for the streaming sweep (with -stream): 0/1 = off, >=2 = sharded; byte-identical at any count and composes with -pipeline")
+	shards := flag.Int("shards", 0, "data-parallel shard workers for the streaming sweep (with -stream): 0/1 = off, >=2 = sharded; byte-identical at any count")
 	faultSpec := flag.String("fault", "", "inject faults before decoding: comma-separated kind:severity list (e.g. burst:0.5,dropout:0.3)")
 	faultSeed := flag.Int64("fault-seed", 42, "seed for the fault injectors (same seed, same spec: byte-identical impairment)")
 	stats := flag.Bool("stats", false, "dump pipeline metrics (expvar-style text) after the decode")
@@ -88,7 +81,6 @@ func main() {
 	firstFrame = -1
 	if *stream {
 		dcfg.CalibSamples = *calib
-		dcfg.PipelineParallelism = *pipeline
 		dcfg.ShardParallelism = *shards
 		dcfg.OnFrame = func(*lf.StreamResult) {
 			if firstFrame < 0 {
@@ -281,25 +273,11 @@ func main() {
 }
 
 // dumpStats prints the decoder's accumulated pipeline metrics as an
-// expvar-style text listing, followed — when the stage graph ran — by
-// a per-queue summary of the pipelined decoder's bounded queues.
+// expvar-style text listing.
 func dumpStats(dec *lf.Decoder) {
 	fmt.Println("pipeline stats:")
-	snap := dec.Stats()
-	if err := snap.WriteText(os.Stdout); err != nil {
+	if err := dec.Stats().WriteText(os.Stdout); err != nil {
 		fatal(err)
-	}
-	type q struct{ label, prefix string }
-	for _, qq := range []q{{"ingest", "pipe.ingest"}, {"tokens", "pipe.token"}} {
-		items := snap.Counters[qq.prefix+"_items"]
-		if items == 0 {
-			continue // stage graph not engaged (or queue never used)
-		}
-		pushStall := snap.Timings[qq.prefix+"_push_stall_ns"]
-		popStall := snap.Timings[qq.prefix+"_pop_stall_ns"]
-		fmt.Printf("stage queue %-7s items %6d  depth high-water %2d  push stall %8.3f ms  pop stall %8.3f ms\n",
-			qq.label, items, snap.Gauges[qq.prefix+"_depth"],
-			float64(pushStall.TotalNs)/1e6, float64(popStall.TotalNs)/1e6)
 	}
 }
 

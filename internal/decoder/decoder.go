@@ -84,18 +84,6 @@ type Config struct {
 	// 1 = serial). Decoder-internal randomness is split per stream in a
 	// fixed order, so the decode is bit-identical at any setting.
 	Parallelism int
-	// PipelineParallelism selects the streaming decoder's execution
-	// shape. 0 or 1 runs every stage inline on the pushing goroutine
-	// (the historical serial path). ≥ 2 runs the decoder as a
-	// pipeline-parallel stage graph: edge detection and
-	// walking/commit each own a goroutine, connected by bounded
-	// queues (pipeline.go), so detection of block N overlaps walking
-	// of block N-1 on multicore hosts. The decode is bit-identical
-	// either way — stages exchange immutable snapshots and every
-	// horizon check is unchanged — only wall-clock timing and the
-	// moment OnFrame/Tracer callbacks fire (still the pushing
-	// goroutine, slightly later) differ. Batch Decode ignores it.
-	PipelineParallelism int
 	// ShardParallelism ≥ 2 runs the decode data-parallel across
 	// cores: the dominant per-sample stage (the differential
 	// magnitude sweep) is carved into seam-safe overlapping shards
@@ -104,11 +92,10 @@ type Config struct {
 	// fan out across the pool once streams register. The shard
 	// overlap derives from the pipeline's provably-final cut
 	// distances (DESIGN.md §15), so the decode is byte-identical to
-	// ShardParallelism = 1 at any shard count and composes freely
-	// with PipelineParallelism (the detect stage owns the shard
-	// pool). 0 or 1 disables sharding. Batch Decode honours it too —
-	// the capture is pushed as one block and the shards drain at
-	// Flush — as do SIC residual decodes, which inherit the setting.
+	// ShardParallelism = 1 at any shard count. 0 or 1 disables
+	// sharding. Batch Decode honours it too — the capture is pushed
+	// as one block and the shards drain at Flush — as do SIC residual
+	// decodes, which inherit the setting.
 	ShardParallelism int
 	// StripeRunner, when non-nil and ShardParallelism ≥ 2, executes
 	// each sweep stripe instead of the in-process kernel — the
@@ -118,12 +105,6 @@ type Config struct {
 	// error (which poisons that stripe like an in-process panic). SIC
 	// residual decodes inherit it with the rest of the config.
 	StripeRunner func(*edgedetect.StripeJob) error
-	// StageDepth bounds each inter-stage queue of the pipelined
-	// streaming decoder, in blocks/tokens (0 selects
-	// DefaultStageDepth, minimum 1). Deeper queues absorb stage-time
-	// jitter at the cost of buffering more pushed blocks, which
-	// RetainedBytes accounts for.
-	StageDepth int
 	// CalibSamples bounds the edge detector's noise calibration to the
 	// first CalibSamples differential magnitudes, which is what lets
 	// the streaming decoder start detecting — and bound its memory —
@@ -300,10 +281,6 @@ func Decode(capture *iq.Capture, cfg Config) (*Result, error) {
 	if len(capture.Samples) == 0 {
 		return nil, errAt(StageInput, -1, fmt.Errorf("decoder: capture has no samples"))
 	}
-	// The stage graph only helps when pushes interleave with decoding;
-	// a single-block batch decode gains nothing from it and would pay
-	// an extra capture copy, so the batch path always runs serial.
-	cfg.PipelineParallelism = 0
 	sd, err := NewStreamDecoder(capture.SampleRate, cfg)
 	if err != nil {
 		return nil, err

@@ -32,19 +32,12 @@ import (
 // detection) to Flush, and CancellationRounds > 0 retains a copy of
 // the raw samples because successive interference cancellation must
 // subtract reconstructed waveforms from the original capture.
-//
-// With Config.PipelineParallelism ≥ 2 the decoder runs as a stage
-// graph instead: edge detection and walking/commit own goroutines
-// connected by bounded queues (see pipeline.go), with the same
-// bit-identical result.
 type StreamDecoder struct {
 	cfg        Config
 	workers    int
 	shardW     int // ≥ 2 when sharded decode is on (Config.ShardParallelism)
 	sampleRate float64
 	det        *edgedetect.Stream
-	dv         detSource // what pump reads; see detSource
-	pipe       *pipeline // non-nil on the pipelined path
 	src        *rng.Source
 	regCut     int64
 
@@ -80,21 +73,6 @@ type StreamDecoder struct {
 	res  *Result
 	err  error
 	done bool
-}
-
-// detSource is the detector state the pump stages read: the finalized
-// edge prefix, soft measurements, and the progress horizons. The
-// serial path points it at the live edgedetect.Stream; the pipelined
-// path points it at the current token's immutable edgedetect.View, so
-// the same pump code runs bit-identically in both modes.
-type detSource interface {
-	streams.EdgeSource
-	EdgeComplete() int64
-	Front() int64
-	Closed() bool
-	Calibrated() bool
-	NoiseFloor() float64
-	SetLowWater(pos int64)
 }
 
 // NewStreamDecoder builds a streaming decoder. sampleRate describes
@@ -142,15 +120,12 @@ func NewStreamDecoder(sampleRate float64, cfg Config) (*StreamDecoder, error) {
 		timed:      m.Registry != nil,
 		res:        &Result{},
 	}
-	sd.dv = det
-	if cfg.PipelineParallelism >= 2 {
-		sd.pipe = newPipeline(sd)
-	}
 	return sd, nil
 }
 
 // Stats snapshots the decoder's pipeline metrics so far (empty when
-// Config.Metrics is nil).
+// Config.Metrics is nil). Callers must not run it concurrently with
+// Push or Flush.
 func (sd *StreamDecoder) Stats() *obs.Snapshot { return sd.m.Snapshot() }
 
 // now reads the clock only when stage timing is enabled, so the
@@ -172,9 +147,6 @@ func (sd *StreamDecoder) observe(t *obs.Timing, t0 time.Time) {
 // Push feeds one block of IQ samples and advances every pipeline stage
 // as far as the new samples allow.
 func (sd *StreamDecoder) Push(block []complex128) error {
-	if sd.pipe != nil {
-		return sd.pipe.push(block, false)
-	}
 	if sd.err != nil {
 		return sd.err
 	}
@@ -203,9 +175,6 @@ func (sd *StreamDecoder) Push(block []complex128) error {
 // front end can hand off pooled buffers with zero copies. The caller
 // must not touch block afterwards.
 func (sd *StreamDecoder) PushOwned(block []complex128) error {
-	if sd.pipe != nil {
-		return sd.pipe.push(block, true)
-	}
 	err := sd.Push(block)
 	pool.PutComplex(block)
 	return err
@@ -215,9 +184,6 @@ func (sd *StreamDecoder) PushOwned(block []complex128) error {
 // cancellation rounds, which need the whole capture), and returns the
 // final result — identical to what batch Decode returns.
 func (sd *StreamDecoder) Flush() (*Result, error) {
-	if sd.pipe != nil {
-		return sd.pipe.flush()
-	}
 	if sd.err != nil {
 		return nil, sd.err
 	}
@@ -233,16 +199,6 @@ func (sd *StreamDecoder) Flush() (*Result, error) {
 	if sd.err != nil {
 		return nil, sd.err
 	}
-	return sd.flushTail(t0)
-}
-
-// flushTail finishes a flush once the detector has closed and every
-// pump stage has drained: SIC rounds, result assembly, final metric
-// accounting, emission, and buffer release. Shared verbatim by the
-// serial path and the pipelined path (which reaches here only after
-// joining its stage goroutines, so the direct det access is serial
-// again).
-func (sd *StreamDecoder) flushTail(t0 time.Time) (*Result, error) {
 	if sd.cfg.CancellationRounds > 0 {
 		tc := sd.now()
 		// A panic inside cancellation quarantines the whole SIC stage:
@@ -357,11 +313,9 @@ func (sd *StreamDecoder) recordFinal() {
 // RetainedBytes reports the sample-proportional memory currently held:
 // the detector's sliding windows plus any raw-capture retention forced
 // by cancellation. Pool slack beyond the live windows is excluded (see
-// edgedetect.Stream.RetainedBytes).
+// edgedetect.Stream.RetainedBytes). Like Stats, it must not run
+// concurrently with Push or Flush.
 func (sd *StreamDecoder) RetainedBytes() int64 {
-	if sd.pipe != nil {
-		return sd.pipe.retainedBytes()
-	}
 	n := sd.det.RetainedBytes()
 	if !sd.retainExt {
 		n += int64(len(sd.retain)) * 16
@@ -373,19 +327,19 @@ func (sd *StreamDecoder) RetainedBytes() int64 {
 // detector's finalized-edge front allows, then slides the detector's
 // sample window past everything no stage can still read.
 func (sd *StreamDecoder) pump() {
-	if sd.tracer != nil && !sd.calibTraced && sd.dv.Calibrated() {
+	if sd.tracer != nil && !sd.calibTraced && sd.det.Calibrated() {
 		sd.calibTraced = true
 		// Pos is the configured calibration prefix — or the full
 		// capture length when calibration deferred to Close — so the
 		// event content is block-size independent.
 		pos := sd.cfg.CalibSamples
-		if pos <= 0 || sd.dv.Closed() {
-			pos = sd.dv.Front()
+		if pos <= 0 || sd.det.Closed() {
+			pos = sd.det.Front()
 		}
 		sd.tracer.Trace(obs.SpanEvent{Stage: "calibrate", Stream: -1, Pos: pos})
 	}
 	if !sd.registered {
-		if sd.dv.EdgeComplete() < sd.regCut && !sd.dv.Closed() {
+		if sd.det.EdgeComplete() < sd.regCut && !sd.det.Closed() {
 			return
 		}
 		sd.register()
@@ -404,7 +358,7 @@ func (sd *StreamDecoder) pump() {
 // Registration reads nothing past streams.RegistrationHorizon, so the
 // prefix decides identically to the eventual full edge list.
 func (sd *StreamDecoder) register() {
-	sts, err := streams.Register(sd.dv.Edges(), sd.cfg.Streams, sd.cfg.PayloadBits)
+	sts, err := streams.Register(sd.det.Edges(), sd.cfg.Streams, sd.cfg.PayloadBits)
 	if err != nil {
 		sd.err = errAt(StageRegister, -1, err)
 		return
@@ -444,9 +398,9 @@ func (sd *StreamDecoder) register() {
 // and per-index quarantine capture keeps the panic taxonomy identical
 // to the serial loop.
 func (sd *StreamDecoder) stepWalkers() {
-	closed := sd.dv.Closed()
-	edgeDone := sd.dv.EdgeComplete()
-	front := sd.dv.Front()
+	closed := sd.det.Closed()
+	edgeDone := sd.det.EdgeComplete()
+	front := sd.det.Front()
 	measureSpan := sd.cfg.Edge.Gap + sd.cfg.Edge.Win + 1
 	step := func(i int) {
 		defer func() {
@@ -459,7 +413,7 @@ func (sd *StreamDecoder) stepWalkers() {
 			if !closed && (edgeDone < w.Horizon() || front < w.MeasurePos()+measureSpan) {
 				break
 			}
-			w.Step(sd.dv)
+			w.Step(sd.det)
 		}
 	}
 	if sd.shardW >= 2 && len(sd.walkers) > 1 {
@@ -488,7 +442,7 @@ func (sd *StreamDecoder) maybeCommit() {
 			return
 		}
 	}
-	if !sd.dv.Closed() && (sd.dv.EdgeComplete() < sd.commitCut || sd.dv.Front() < sd.commitCut) {
+	if !sd.det.Closed() && (sd.det.EdgeComplete() < sd.commitCut || sd.det.Front() < sd.commitCut) {
 		return
 	}
 	t0 := sd.now()
@@ -515,7 +469,7 @@ func (sd *StreamDecoder) maybeCommit() {
 		}
 		others := make([]*StreamResult, len(snapshot))
 		errs := sd.meter.DoRecover(sd.workers, len(snapshot), func(i int) {
-			if other, ok := trySplit(snapshot[i], sd.dv, sd.cfg, splitSrcs[i]); ok {
+			if other, ok := trySplit(snapshot[i], sd.det, sd.cfg, splitSrcs[i]); ok {
 				others[i] = other
 			}
 		})
@@ -553,7 +507,7 @@ func (sd *StreamDecoder) maybeCommit() {
 			resolveCollisions(results, sd.cfg, sd.src.Split("collisions"), sd.res)
 		}()
 	}
-	sigma2 := obsNoiseVariance(sd.dv.NoiseFloor())
+	sigma2 := obsNoiseVariance(sd.det.NoiseFloor())
 	errs := sd.meter.DoRecover(sd.workers, len(results), func(i int) {
 		if hook := sd.cfg.testStreamHook; hook != nil {
 			hook(results[i])
@@ -600,10 +554,10 @@ func (sd *StreamDecoder) dropStream(sr *StreamResult, detail string) {
 // truncation span. Only fires when the commit happens at Flush — a
 // frame that committed mid-capture was complete by construction.
 func (sd *StreamDecoder) markTruncated(results []*StreamResult) {
-	if !sd.dv.Closed() {
+	if !sd.det.Closed() {
 		return
 	}
-	total := sd.dv.Front()
+	total := sd.det.Front()
 	for _, sr := range results {
 		nominal := streams.FrameSlots(sd.cfg.Streams, sd.cfg.PayloadBits(sr.Stream.Rate))
 		if nominal > len(sr.Slots) {
@@ -645,10 +599,10 @@ func (sd *StreamDecoder) emitFrames() {
 // updateLowWater slides the detector's sample window past everything
 // the remaining stages can still measure.
 func (sd *StreamDecoder) updateLowWater() {
-	if !sd.registered || sd.pinned || sd.dv.Closed() {
+	if !sd.registered || sd.pinned || sd.det.Closed() {
 		return
 	}
-	low := sd.dv.Front()
+	low := sd.det.Front()
 	if !sd.committed {
 		for i, w := range sd.walkers {
 			if w.Done() || sd.quarantined[i] != "" {
@@ -660,6 +614,6 @@ func (sd *StreamDecoder) updateLowWater() {
 		}
 	}
 	if low > 0 {
-		sd.dv.SetLowWater(low)
+		sd.det.SetLowWater(low)
 	}
 }

@@ -192,10 +192,6 @@ type Stream struct {
 	// disjoint sample spans); the sweep and the local-maximum scan
 	// visit only these ranges (SweepSeed.Active).
 	active []shard.Range
-
-	// compactGate, when non-nil, must return true for the prefix-sum
-	// window to compact in place (see CompactionGate / View).
-	compactGate func() bool
 }
 
 // Span is a half-open range [Lo, Hi) of absolute sample positions.
@@ -948,15 +944,12 @@ func (s *Stream) dropSums(keep int64) {
 		return
 	}
 	if s.shardOn() {
-		// Copy-out compaction: in-flight stripe workers — and, under
-		// the stage graph, published Views — hold slice-header
-		// snapshots of the current backing arrays, so instead of
-		// rewriting entries under them the retained tail moves into
-		// fresh arrays and the old ones are left, intact, to their
-		// readers (and the GC). No gate or drain needed, which matters
-		// in shard mode: a stripe is nearly always in flight and the
-		// fast detect stage keeps the ack gate closed, so a gated
-		// in-place compaction would almost never run.
+		// Copy-out compaction: in-flight stripe workers hold
+		// slice-header snapshots of the current backing arrays, so
+		// instead of rewriting entries under them the retained tail
+		// moves into fresh arrays and the old ones are left, intact,
+		// to their readers (and the GC). No drain needed, which
+		// matters in shard mode: a stripe is nearly always in flight.
 		n := len(s.sumsRe) - int(drop)
 		re := pool.FloatUninit(n)
 		im := pool.FloatUninit(n)
@@ -964,13 +957,6 @@ func (s *Stream) dropSums(keep int64) {
 		copy(im, s.sumsIm[drop:])
 		s.sumsRe, s.sumsIm = re, im
 		s.sumBase = keep
-		return
-	}
-	// The in-place copy below rewrites entries a published View could
-	// still be reading; the pipelined decoder gates it on every
-	// snapshot having been retired (acked). Skipping is always safe —
-	// the window just grows until the gate opens.
-	if s.compactGate != nil && !s.compactGate() {
 		return
 	}
 	n := copy(s.sumsRe, s.sumsRe[drop:])

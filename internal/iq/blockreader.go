@@ -118,8 +118,8 @@ func (b *BlockReader) Read(dst []complex128) (int, error) {
 // ReadBlock decodes up to n samples into a pooled buffer and hands it
 // to the caller, ownership included: the buffer comes from the shared
 // sample pool, so feeding it to StreamDecoder.PushOwned moves samples
-// from file to decoder with no further copies (the pipelined decoder
-// enqueues the buffer as-is and recycles it after detection). Returns
+// from file to decoder with no further copies (the decoder recycles
+// the buffer once it has consumed it). Returns
 // (nil, io.EOF) once the payload is exhausted; any other error follows
 // Read's contract, with the samples decoded before the error delivered
 // alongside it. Callers that keep a non-empty buffer must recycle it
@@ -135,11 +135,10 @@ func (b *BlockReader) ReadBlock(n int) ([]complex128, error) {
 	got, err := b.Read(dst)
 	if got == 0 {
 		// Only an untouched buffer may go back: a short final read's
-		// buffer belongs to the caller — under a pipelined decode its
-		// predecessors from this very loop are still queued inside
-		// PushOwned, and recycling a buffer the caller is about to push
-		// (or has pushed) would let the pool hand the same backing array
-		// to a concurrent ComplexUninit and scribble over live samples.
+		// buffer belongs to the caller, and recycling a buffer the
+		// caller is about to push would let the pool hand the same
+		// backing array to another ComplexUninit and scribble over live
+		// samples.
 		pool.PutComplex(dst)
 		return nil, err
 	}

@@ -32,7 +32,6 @@ type Pipeline struct {
 	Drops   DropMetrics
 	Work    WorkMetrics
 	Stage   StageTimings
-	Pipe    PipeMetrics
 	Shard   ShardMetrics
 }
 
@@ -162,16 +161,10 @@ type WorkMetrics struct {
 // StageTimings holds per-stage wall-time accumulators. Timing is
 // measurement only — no decode decision ever reads a clock.
 type StageTimings struct {
-	// Push covers incremental edge detection and pipeline pumping
-	// inside StreamDecoder.Push (on the pipelined path: the caller's
-	// enqueue plus emission drain).
+	// Push covers the whole StreamDecoder.Push call: incremental edge
+	// detection, stream registration, walker stepping and any frame
+	// commit the new samples unlock.
 	Push *Timing
-	// Detect covers the detect stage's per-block work (edge detection
-	// and snapshot publication) on the pipelined path.
-	Detect *Timing
-	// Walk covers the walk stage's per-token work (registration,
-	// walker stepping, frame commit) on the pipelined path.
-	Walk *Timing
 	// Commit covers the frame-commit stage (splitting, collision
 	// resolution, sequence decoding).
 	Commit *Timing
@@ -182,22 +175,6 @@ type StageTimings struct {
 	SIC *Timing
 	// Flush covers the whole Flush call.
 	Flush *Timing
-}
-
-// PipeMetrics instruments the pipelined decoder's stage queues
-// (ClassRuntime throughout: occupancy and stalls depend on scheduling
-// by definition and never feed a decode decision).
-type PipeMetrics struct {
-	// IngestDepth / TokenDepth are high-water occupancies of the
-	// caller→detect sample queue and the detect→walk token queue.
-	IngestDepth, TokenDepth *Gauge
-	// *Stall timings accumulate time a stage spent blocked pushing to
-	// a full queue or popping an empty one — the direct reading of
-	// which stage is the bottleneck.
-	IngestPushStall, IngestPopStall *Timing
-	TokenPushStall, TokenPopStall   *Timing
-	// IngestItems / TokenItems count tokens through each queue.
-	IngestItems, TokenItems *Counter
 }
 
 // ShardMetrics instruments the sharded differential sweep
@@ -291,22 +268,10 @@ func NewPipeline() *Pipeline {
 		},
 		Stage: StageTimings{
 			Push:   r.Timing("stage.push_ns"),
-			Detect: r.Timing("stage.detect_ns"),
-			Walk:   r.Timing("stage.walk_ns"),
 			Commit: r.Timing("stage.commit_ns"),
 			Cancel: r.Timing("stage.cancel_ns"),
 			SIC:    r.Timing("stage.sic_ns"),
 			Flush:  r.Timing("stage.flush_ns"),
-		},
-		Pipe: PipeMetrics{
-			IngestDepth:     r.Gauge("pipe.ingest_depth", ClassRuntime),
-			TokenDepth:      r.Gauge("pipe.token_depth", ClassRuntime),
-			IngestPushStall: r.Timing("pipe.ingest_push_stall_ns"),
-			IngestPopStall:  r.Timing("pipe.ingest_pop_stall_ns"),
-			TokenPushStall:  r.Timing("pipe.token_push_stall_ns"),
-			TokenPopStall:   r.Timing("pipe.token_pop_stall_ns"),
-			IngestItems:     r.Counter("pipe.ingest_items", ClassRuntime),
-			TokenItems:      r.Counter("pipe.token_items", ClassRuntime),
 		},
 		Shard: ShardMetrics{
 			Stripes:  r.Counter("shard.stripes", ClassRuntime),

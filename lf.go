@@ -327,15 +327,11 @@ type DecoderConfig struct {
 	// 1 = serial). Decodes are bit-identical at any setting; the knob
 	// only trades wall-clock for cores.
 	Parallelism int
-	// PipelineParallelism selects the streaming decoder's execution
-	// shape: 0 or 1 runs every stage inline on the pushing goroutine;
-	// ≥ 2 runs edge detection and walking/commit as a
-	// pipeline-parallel stage graph on their own goroutines, so
-	// detection of one block overlaps walking of the previous one on
-	// multicore hosts. Decodes are bit-identical either way; only
-	// wall-clock and the moment OnFrame/Tracer callbacks fire (still
-	// the pushing goroutine, slightly later) change. Batch Decode
-	// ignores it.
+	// PipelineParallelism has no effect.
+	//
+	// Deprecated: the inline decoder is the only streaming path. The
+	// field remains only while the benchmark's stage.pipelined_rt row
+	// sets it, and goes together with that row.
 	PipelineParallelism int
 	// ShardParallelism ≥ 2 runs the decode data-parallel across
 	// cores: the differential sweep — the pipeline's dominant
@@ -344,9 +340,8 @@ type DecoderConfig struct {
 	// overlap derived from the pipeline's provably-final cut
 	// distances and deterministic in-order merge (DESIGN.md §15).
 	// Decodes are byte-identical to ShardParallelism = 1 at any
-	// shard count, and the knob composes with PipelineParallelism.
-	// Unlike PipelineParallelism, batch Decode honours it too. 0 or
-	// 1 disables sharding.
+	// shard count. Batch and streaming decodes both honour it, and SIC
+	// residual decodes inherit it. 0 or 1 disables sharding.
 	ShardParallelism int
 	// StripeRunner, when non-nil and ShardParallelism ≥ 2, executes
 	// each sweep stripe of the sharded decode instead of the
@@ -357,11 +352,6 @@ type DecoderConfig struct {
 	// produce, or return an error (which poisons that one stripe, not
 	// the decode). Most callers leave it nil.
 	StripeRunner func(*StripeJob) error
-	// StageDepth bounds each inter-stage queue of the pipelined
-	// streaming decoder, in blocks (0 = default). Deeper queues
-	// absorb stage-time jitter but buffer more pushed samples, which
-	// RetainedBytes accounts for.
-	StageDepth int
 	// StartWindowSeconds overrides how late after carrier-on a frame
 	// may begin (streams.Config.MaxStart). The default covers only the
 	// comparator jitter window — right for epochs where every tag fires
@@ -526,10 +516,8 @@ func NewDecoder(cfg DecoderConfig) (*Decoder, error) {
 		dc.Streams.MaxStart = int64(cfg.StartWindowSeconds * cfg.SampleRate)
 	}
 	dc.Parallelism = cfg.Parallelism
-	dc.PipelineParallelism = cfg.PipelineParallelism
 	dc.ShardParallelism = cfg.ShardParallelism
 	dc.StripeRunner = cfg.StripeRunner
-	dc.StageDepth = cfg.StageDepth
 	dc.CalibSamples = cfg.CalibSamples
 	dc.ViterbiWindow = cfg.ViterbiWindow
 	dc.ForceFullResidual = cfg.ForceFullResidual
@@ -618,8 +606,8 @@ func (s *StreamDecoder) Push(block []complex128) error { return s.sd.Push(block)
 // PushOwned is Push with ownership transfer: the decoder recycles the
 // block (which must come from a pool or be otherwise relinquished)
 // once consumed, so a reader front end — iq.BlockReader.ReadBlock —
-// can hand pooled buffers to the pipelined decoder with zero copies.
-// The caller must not touch block afterwards.
+// can hand pooled buffers to the decoder with zero copies. The caller
+// must not touch block afterwards.
 func (s *StreamDecoder) PushOwned(block []complex128) error { return s.sd.PushOwned(block) }
 
 // Flush marks end of capture, drains the pipeline, and returns the
@@ -633,13 +621,16 @@ func (s *StreamDecoder) Flush() (*Result, error) {
 	return res, err
 }
 
-// Stats snapshots this stream's pipeline metrics so far — safe to call
-// mid-decode between pushes. Empty when DecoderConfig.NoStats is set.
+// Stats snapshots this stream's pipeline metrics so far. It may be
+// called mid-decode between pushes, but callers must not run it
+// concurrently with Push, PushOwned or Flush. Empty when
+// DecoderConfig.NoStats is set.
 func (s *StreamDecoder) Stats() *Stats { return s.sd.Stats() }
 
 // RetainedBytes reports the sample-proportional memory the decode
 // currently holds — the observable the streaming memory bound is
-// stated (and tested) against.
+// stated (and tested) against. Like Stats, it must not run
+// concurrently with Push, PushOwned or Flush.
 func (s *StreamDecoder) RetainedBytes() int64 { return s.sd.RetainedBytes() }
 
 // Decode runs the pipeline over one epoch's capture.

@@ -1,6 +1,7 @@
 package lf_test
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -67,31 +68,6 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedComposesWithStageGraph pins that sharding composes with
-// the pipeline-parallel stage graph: the detect stage owns the shard
-// pool, the walk stage reads immutable views, and the combined
-// execution shape must still be byte-identical to the plain serial
-// streaming decode.
-func TestShardedComposesWithStageGraph(t *testing.T) {
-	ep, cfg := buildEpoch(t, 4, 11)
-	cfg.CalibSamples = 32768
-	want, wantID := streamDecodeSamples(t, ep.Capture.Samples, cfg, 4096)
-	for _, depth := range []int{1, 4} {
-		ccfg := cfg
-		ccfg.ShardParallelism = 2
-		ccfg.PipelineParallelism = 2
-		ccfg.StageDepth = depth
-		got, gotID := streamDecodeSamples(t, ep.Capture.Samples, ccfg, 4096)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("depth=%d: sharded+pipelined decode diverged from serial:\nserial:   %+v\ncombined: %+v",
-				depth, want, got)
-		}
-		if wantID != gotID {
-			t.Fatalf("depth=%d: decode-class stats diverged:\nserial:\n%s\ncombined:\n%s", depth, wantID, gotID)
-		}
-	}
-}
-
 // TestShardedBatchMatches pins that batch Decode honours
 // ShardParallelism and still returns the exact unsharded result —
 // with SIC enabled, so the residual decodes inherit the sharding too.
@@ -107,19 +83,52 @@ func TestShardedBatchMatches(t *testing.T) {
 	}
 }
 
-// TestShardedShutdown pins the shard pool's lifecycle: worker
-// goroutines must all exit after Flush — including when the decode
-// ends early on a poisoned capture — and repeated sharded decodes must
-// not accumulate goroutines.
+// TestShardedShutdown pins the decoder's lifecycle, unsharded and
+// sharded: a second Flush returns the same Result, Push after Flush
+// fails cleanly, and the shard pool's worker goroutines all exit after
+// Flush, so repeated decodes do not accumulate goroutines.
 func TestShardedShutdown(t *testing.T) {
 	ep, cfg := buildEpoch(t, 2, 3)
 	cfg.CalibSamples = 32768
-	cfg.ShardParallelism = 4
+	for _, shards := range []int{0, 4} {
+		cfg.ShardParallelism = shards
+		checkLifecycle(t, ep.Capture.Samples, cfg, fmt.Sprintf("shards=%d", shards))
+	}
+}
+
+// checkLifecycle runs four streaming decodes under cfg and fails t if a
+// decode finds no streams, a second Flush does not return the same
+// Result, Push after Flush succeeds, or goroutines outlive the decodes.
+func checkLifecycle(t *testing.T, samples []complex128, cfg lf.DecoderConfig, label string) {
+	t.Helper()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
-		res, _ := streamDecodeSamples(t, ep.Capture.Samples, cfg, 8192)
+		dec, err := lf.NewDecoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd, err := dec.NewStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < len(samples); j += 8192 {
+			if err := sd.Push(samples[j:min(j+8192, len(samples))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := sd.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(res.Streams) == 0 {
-			t.Fatal("sharded decode found no streams")
+			t.Fatalf("%s: decode found no streams", label)
+		}
+		again, err := sd.Flush()
+		if err != nil || again != res {
+			t.Fatalf("%s: second Flush = (%p, %v), want the same Result", label, again, err)
+		}
+		if err := sd.Push(samples[:16]); err == nil {
+			t.Fatalf("%s: Push after Flush succeeded", label)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -127,7 +136,7 @@ func TestShardedShutdown(t *testing.T) {
 		if n := runtime.NumGoroutine(); n <= before {
 			break
 		} else if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after sharded decodes", before, n)
+			t.Fatalf("%s: goroutines leaked: %d before, %d after decodes", label, before, n)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"lf"
-	"lf/internal/fault"
 )
 
 // streamDecode runs the streaming pipeline over an epoch's capture,
@@ -86,27 +84,18 @@ func TestStreamingMatchesBatchDeferredCalibration(t *testing.T) {
 // raw capture by design; everything else runs at defaults. The frames
 // must also surface through OnFrame long before Flush.
 func TestStreamingMemoryBounded(t *testing.T) {
-	// Serial and pipelined must both hold the O(window) bound; the
-	// pipelined run additionally exercises the RetainedBytes
-	// accounting for blocks buffered in the stage queues (the caller
-	// runs far ahead of the detect stage, so the ingest queue sits at
-	// its depth for most of the push loop). The sharded runs pin the
-	// accounting with in-flight stripe buffers on top — alone and
-	// combined with the stage queues — and check the shard pool's
-	// workers all exit at Flush.
-	t.Run("serial", func(t *testing.T) { testStreamingMemoryBounded(t, 0, 0, 0) })
-	t.Run("pipelined", func(t *testing.T) { testStreamingMemoryBounded(t, 2, 4, 0) })
-	t.Run("sharded", func(t *testing.T) { testStreamingMemoryBounded(t, 0, 0, 2) })
-	t.Run("sharded+pipelined", func(t *testing.T) { testStreamingMemoryBounded(t, 2, 4, 2) })
+	// Serial and sharded must both hold the O(window) bound; the
+	// sharded run pins the accounting with in-flight stripe buffers on
+	// top and checks the shard pool's workers all exit at Flush.
+	t.Run("serial", func(t *testing.T) { testStreamingMemoryBounded(t, 0) })
+	t.Run("sharded", func(t *testing.T) { testStreamingMemoryBounded(t, 2) })
 }
 
-func testStreamingMemoryBounded(t *testing.T, pipeline, stageDepth, shards int) {
+func testStreamingMemoryBounded(t *testing.T, shards int) {
 	before := runtime.NumGoroutine()
 	ep, cfg := buildEpoch(t, 2, 5)
 	cfg.CalibSamples = 32768
 	cfg.CancellationRounds = -1
-	cfg.PipelineParallelism = pipeline
-	cfg.StageDepth = stageDepth
 	cfg.ShardParallelism = shards
 	framesBeforeFlush := 0
 	cfg.OnFrame = func(*lf.StreamResult) { framesBeforeFlush++ }
@@ -159,7 +148,7 @@ func testStreamingMemoryBounded(t *testing.T, pipeline, stageDepth, shards int) 
 	if atEnd > atDouble+1<<20 {
 		t.Fatalf("retained memory still growing in the tail: %d B at 2x capture, %d B at end", atDouble, atEnd)
 	}
-	// Stage and shard goroutines must all have exited with Flush.
+	// Shard goroutines must all have exited with Flush.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before {
@@ -169,6 +158,17 @@ func testStreamingMemoryBounded(t *testing.T, pipeline, stageDepth, shards int) 
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestStageGraphShutdown pins that the retired PipelineParallelism
+// knob leaves the streaming decoder's lifecycle unchanged: it starts no
+// goroutines that outlive Flush, a second Flush returns the same
+// Result, and Push after Flush fails cleanly.
+func TestStageGraphShutdown(t *testing.T) {
+	ep, cfg := buildEpoch(t, 2, 3)
+	cfg.CalibSamples = 32768
+	cfg.PipelineParallelism = 2
+	checkLifecycle(t, ep.Capture.Samples, cfg, "pipeline=2")
 }
 
 // streamDecodeSamples is streamDecode over explicit samples, returning
@@ -194,160 +194,4 @@ func streamDecodeSamples(t *testing.T, samples []complex128, cfg lf.DecoderConfi
 		t.Fatal(err)
 	}
 	return res, sd.Stats().Identity()
-}
-
-// TestStageGraphMatchesSerial pins the stage graph's bit-identity
-// contract across the full degradation surface: for a clean capture
-// and one capture per fault kind, the pipelined decoder
-// (PipelineParallelism=2) must produce byte-identical Results — frames,
-// drops, and decode-class stats — to the serial streaming path, at
-// every stage-queue depth and push block size. Queue depth and block
-// size only reshape scheduling; any divergence means a stage read
-// state it should not have.
-func TestStageGraphMatchesSerial(t *testing.T) {
-	ep, cfg := buildEpoch(t, 4, 11)
-	cfg.CalibSamples = 32768
-
-	cases := []struct {
-		name    string
-		samples []complex128
-	}{{"clean", ep.Capture.Samples}}
-	for i, k := range fault.CaptureKinds() {
-		fc := fault.Config{Seed: int64(100 + i), Injectors: []fault.Injector{{Kind: k, Severity: 0.6}}}
-		impaired, err := fc.ApplyCapture(ep.Capture)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, struct {
-			name    string
-			samples []complex128
-		}{string(k), impaired.Samples})
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			serialCfg := cfg
-			want, wantID := streamDecodeSamples(t, tc.samples, serialCfg, 4096)
-			for _, depth := range []int{1, 4, 64} {
-				for _, block := range []int{1, 4096, len(tc.samples) + 1} {
-					if block == 1 && depth != 4 {
-						// Single-sample pushes exercise the per-token
-						// machinery; one depth is enough at that cost.
-						continue
-					}
-					pcfg := cfg
-					pcfg.PipelineParallelism = 2
-					pcfg.StageDepth = depth
-					got, gotID := streamDecodeSamples(t, tc.samples, pcfg, block)
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("depth=%d block=%d: stage graph diverged from serial:\nserial:    %+v\npipelined: %+v",
-							depth, block, want, got)
-					}
-					if wantID != gotID {
-						t.Fatalf("depth=%d block=%d: decode-class stats diverged:\nserial:\n%s\npipelined:\n%s",
-							depth, block, wantID, gotID)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestStageGraphShutdown pins the lifecycle edges of the pipelined
-// decoder: stage goroutines must all exit after Flush (no leaks), a
-// second Flush returns the same Result, and Push after Flush fails
-// cleanly instead of deadlocking against closed queues.
-func TestStageGraphShutdown(t *testing.T) {
-	ep, cfg := buildEpoch(t, 2, 3)
-	cfg.CalibSamples = 32768
-	cfg.PipelineParallelism = 2
-	before := runtime.NumGoroutine()
-
-	var last *lf.Result
-	for i := 0; i < 4; i++ {
-		dec, err := lf.NewDecoder(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sd, err := dec.NewStream()
-		if err != nil {
-			t.Fatal(err)
-		}
-		samples := ep.Capture.Samples
-		for j := 0; j < len(samples); j += 4096 {
-			if err := sd.Push(samples[j:min(j+4096, len(samples))]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := sd.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := sd.Flush()
-		if err != nil || again != res {
-			t.Fatalf("second Flush = (%p, %v), want the same Result", again, err)
-		}
-		if err := sd.Push(samples[:16]); err == nil {
-			t.Fatal("Push after Flush succeeded on the pipelined path")
-		}
-		last = res
-	}
-	if last == nil || len(last.Streams) == 0 {
-		t.Fatal("pipelined decode found no streams")
-	}
-	// The stage goroutines exit as part of Flush's join, so the count
-	// must settle back; allow the runtime a moment for exits to land.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after pipelined decodes", before, n)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestStageGraphConcurrentPolling drives the pipelined decoder while a
-// second goroutine hammers Stats and RetainedBytes — the observability
-// endpoints documented as safe for concurrent polling. Run under
-// -race this pins that every cross-stage touch point is atomic.
-func TestStageGraphConcurrentPolling(t *testing.T) {
-	ep, cfg := buildEpoch(t, 2, 7)
-	cfg.CalibSamples = 32768
-	cfg.PipelineParallelism = 2
-	dec, err := lf.NewDecoder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, err := dec.NewStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = sd.RetainedBytes()
-				_ = sd.Stats()
-			}
-		}
-	}()
-	samples := ep.Capture.Samples
-	for i := 0; i < len(samples); i += 1024 {
-		if err := sd.Push(samples[i:min(i+1024, len(samples))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := sd.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	wg.Wait()
 }

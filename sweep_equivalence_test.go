@@ -9,12 +9,13 @@ import (
 	"lf/internal/fault"
 )
 
-// TestSparseSweepMatchesDense holds the decoder to its one-sweep
-// contract (DESIGN.md §12): the deprecated ForceDenseSweep field must
-// select nothing, so for fault-injected captures across every
-// capture-level impairment kind the default decode is byte-identical
-// to the decode with ForceDenseSweep set — through the batch path and
-// through streaming at block sizes 1, 4096, and whole-capture.
+// TestSparseSweepMatchesDense holds the decoder to its one-sweep and
+// one-streaming-path contracts (DESIGN.md §12, §14): the deprecated
+// ForceDenseSweep and PipelineParallelism fields must select nothing,
+// so for fault-injected captures across every capture-level impairment
+// kind the default decode is byte-identical to the decode with both
+// set, batch and streaming; and batch equals streaming at block sizes
+// 1, 4096, and whole-capture.
 // CalibSamples is set so streaming genuinely runs incrementally (the
 // calibration prefix ends mid-capture).
 func TestSparseSweepMatchesDense(t *testing.T) {
@@ -40,10 +41,14 @@ func TestSparseSweepMatchesDense(t *testing.T) {
 
 				dcfg := cfg
 				dcfg.ForceDenseSweep = true
-				dense := decodeWith(t, ep2, dcfg, 0)
+				dcfg.PipelineParallelism = 2
+				deprecated := decodeWith(t, ep2, dcfg, 0)
 				batch := decodeWith(t, ep2, cfg, 0)
-				if !reflect.DeepEqual(dense, batch) {
-					t.Fatal("batch decode diverged with ForceDenseSweep set")
+				if !reflect.DeepEqual(deprecated, batch) {
+					t.Fatal("batch decode diverged with the deprecated fields set")
+				}
+				if !reflect.DeepEqual(batch, streamDecode(t, ep2, dcfg, 4096)) {
+					t.Fatal("streaming decode diverged with the deprecated fields set")
 				}
 				for _, block := range blocks(len(impaired.Samples)) {
 					streamed := streamDecode(t, ep2, cfg, block)
