@@ -2,8 +2,8 @@ GO ?= go
 FUZZTIME ?= 30s
 
 .PHONY: all build vet test race race-stream bench benchjson benchguard \
-	fuzz fuzz-smoke kernel-smoke obs-smoke shard-smoke \
-	sic-smoke dist-smoke gate-smoke robustness-smoke lfperf-smoke profile \
+	fuzz fuzz-smoke kernel-smoke obs-smoke \
+	sic-smoke gate-smoke robustness-smoke lfperf-smoke profile \
 	ci clean
 
 all: build
@@ -76,17 +76,8 @@ kernel-smoke:
 obs-smoke:
 	$(GO) test -race -run 'TestGolden|TestMetricsConservation|TestStatsDeterminism' .
 
-# Sharded-decode smoke: the shard-vs-serial byte-identity sweep (shard
-# counts {1,2,8} x block sizes x all fault kinds, batch + SIC
-# inheritance, stats conservation, lifecycle and shutdown leak check)
-# under the race detector, plus the shard pool/tiling primitives' unit
-# tests.
-shard-smoke:
-	$(GO) test -race -run 'TestSharded' .
-	$(GO) test -race ./internal/shard
-
 # Incremental-SIC smoke: the dirty-span vs ForceFullResidual
-# byte-identity matrix (fault kinds x rounds, block/shard
+# byte-identity matrix (fault kinds x rounds, block/parallelism
 # composition, vacuity guard) under the race detector, the prefix
 # subtract-and-repair unit suite, and one quick sic experiment run so
 # the redecode-fraction measurement path stays wired end to end.
@@ -94,17 +85,6 @@ sic-smoke:
 	$(GO) test -race -run 'TestSIC' .
 	$(GO) test -run 'TestRepairPrefix' ./internal/dsp
 	$(GO) run ./cmd/lfbench -exp sic -quick
-
-# Distributed-decode smoke: the loopback acceptance matrix (worker
-# counts {1,2,4} x transport fault kinds at severity 0.5, forced
-# hedging, fleet-drain fallback, shard quarantine, stats conservation —
-# every cell asserting byte-identity against the single-machine sharded
-# decode) under the race detector, plus the wire/lease/hedge unit suite
-# and a two-worker transport-fault sweep through the bench harness.
-dist-smoke:
-	$(GO) test -race -run 'TestDistributed' .
-	$(GO) test -race ./internal/dist
-	$(GO) run ./cmd/lfbench -exp dist -quick
 
 # Reader-gateway smoke: the gateway lifecycle suite (resume, kill
 # mid-stream flush, double-Close, connect/disconnect storm, slow-sink
@@ -149,7 +129,7 @@ profile:
 	$(GO) run ./cmd/lfbench -benchjson /tmp/lfbench-profile.json \
 		-cpuprofile lfbench.cpu.prof -memprofile lfbench.mem.prof
 
-ci: vet build test race race-stream fuzz-smoke kernel-smoke obs-smoke shard-smoke sic-smoke dist-smoke gate-smoke robustness-smoke benchguard lfperf-smoke
+ci: vet build test race race-stream fuzz-smoke kernel-smoke obs-smoke sic-smoke gate-smoke robustness-smoke benchguard lfperf-smoke
 
 clean:
 	$(GO) clean ./...

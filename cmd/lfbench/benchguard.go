@@ -5,8 +5,8 @@ package main
 // committed baseline section recorded on a machine of the same shape
 // (num_cpu, gomaxprocs), failing on a >15% ns/op or allocs/op
 // regression. Only the pipeline stages whose performance this repo
-// actively defends are gated (decode, edgedetect, decode/streaming and
-// its sharded variant); synthesize and serialization are
+// actively defends are gated (decode, edgedetect and
+// decode/streaming); synthesize and serialization are
 // informational. A machine with no recorded section FAILS the guard —
 // the old warn-and-skip silently waived the gate on every multi-core
 // box because the committed baseline was 1-core only.
@@ -49,18 +49,10 @@ const sicRedecodeSlack = 0.15
 
 // guardedBenches are the benchmark names the guard gates on.
 var guardedBenches = map[string]bool{
-	"decode":                   true,
-	"edgedetect":               true,
-	"decode/streaming":         true,
-	"decode/streaming/sharded": true,
+	"decode":           true,
+	"edgedetect":       true,
+	"decode/streaming": true,
 }
-
-// shardedRealtimeFloor is the absolute realtime_factor_sharded gate on
-// multi-core machines: with cores to fan the sweep across, the sharded
-// streaming decode must keep up with a live SDR feed. Single-core
-// machines only gate the relative regression — there is no parallelism
-// to buy the margin with.
-const shardedRealtimeFloor = 1.0
 
 // runBenchGuard loads the committed baseline, re-runs the suite, and
 // returns an error describing every gated benchmark that regressed.
@@ -131,8 +123,7 @@ func runBenchGuard(baselinePath string, seed int64) error {
 	}
 	// Realtime-factor gates: the streaming decoder's headline throughput
 	// metrics must not regress >15% against this machine's baseline
-	// section, and on a multi-core machine the sharded decode must
-	// additionally clear the absolute realtime floor.
+	// section.
 	rtGate := func(name string, b, f float64) {
 		if b <= 0 || f <= 0 {
 			return
@@ -147,14 +138,7 @@ func runBenchGuard(baselinePath string, seed int64) error {
 	}
 	if baseline.Streaming != nil && fresh.Streaming != nil {
 		rtGate("realtime-factor", baseline.Streaming.RealtimeFactor, fresh.Streaming.RealtimeFactor)
-		rtGate("realtime-factor-sharded", baseline.Streaming.RealtimeFactorSharded, fresh.Streaming.RealtimeFactorSharded)
 		rtGate("gateway-frames-per-sec", baseline.Streaming.GatewayFramesPerSec, fresh.Streaming.GatewayFramesPerSec)
-	}
-	if ncpu >= 2 && fresh.Streaming != nil && fresh.Streaming.RealtimeFactorSharded > 0 &&
-		fresh.Streaming.RealtimeFactorSharded < shardedRealtimeFloor {
-		failures = append(failures, fmt.Sprintf(
-			"realtime_factor_sharded %.4f below the %.1f floor on a %d-core machine",
-			fresh.Streaming.RealtimeFactorSharded, shardedRealtimeFloor, ncpu))
 	}
 	// Incremental-SIC gates. The absolute cap is the §17 acceptance
 	// bound: the dirty-span residual pass must stay O(dirty), i.e. cost

@@ -79,13 +79,6 @@ type streamingMetrics struct {
 	// fails the guard (skipped, like every baseline comparison, when
 	// the machine is not comparable).
 	RealtimeFactor float64 `json:"realtime_factor"`
-	// RealtimeFactorSharded is the same measurement with the
-	// data-parallel sharded sweep (DecoderConfig.ShardParallelism), at
-	// the best shard count in the swept ladder. On a single-core host
-	// it tracks RealtimeFactor minus stripe-dispatch overhead; with
-	// spare cores the sweep fans out and this is the decoder's best
-	// realtime margin. Gated by -benchguard like RealtimeFactor.
-	RealtimeFactorSharded float64 `json:"realtime_factor_sharded,omitempty"`
 	// PeakRetainedBytes is the high-water mark of RetainedBytes across
 	// the push sequence; CaptureBytes is what batch decode would hold.
 	PeakRetainedBytes int64 `json:"peak_retained_bytes"`
@@ -268,57 +261,6 @@ func profileStreaming(net *lf.Network, ep *lf.Epoch) (*streamingMetrics, benchRe
 		m.RealtimeFactor = m.SamplesPerSecSustained / ep.Capture.SampleRate
 	}
 	return m, r, nil
-}
-
-// shardSweepCounts is the shard-count ladder the sharded streaming
-// decode is measured at: 2, 4, ... capped at the core count, but
-// always including 2 — a single-core box still records the sharded
-// row (quantifying dispatch overhead) rather than silently omitting
-// the decoder's headline scaling number.
-func shardSweepCounts() []int {
-	sweep := []int{2}
-	for w := 4; w <= runtime.NumCPU(); w *= 2 {
-		sweep = append(sweep, w)
-	}
-	return sweep
-}
-
-// profileSharded measures the sharded streaming decode across the
-// shard-count ladder and returns the benchmark rows plus the best
-// realtime factor achieved.
-func profileSharded(net *lf.Network, ep *lf.Epoch) ([]benchResult, float64, error) {
-	var rows []benchResult
-	best := 0.0
-	for _, w := range shardSweepCounts() {
-		cfg := net.DecoderConfig()
-		cfg.CalibSamples = streamBenchCalib
-		cfg.ShardParallelism = w
-		dec, err := lf.NewDecoder(cfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		r := measure("decode/streaming/sharded", w, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s, err := dec.NewStream()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := ep.Blocks(streamBenchBlock, s.Push); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Flush(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		rows = append(rows, r)
-		if r.NsPerOp > 0 {
-			if rt := float64(ep.Capture.Len()) / (r.NsPerOp / 1e9) / ep.Capture.SampleRate; rt > best {
-				best = rt
-			}
-		}
-	}
-	return rows, best, nil
 }
 
 // profileSIC measures the incremental-SIC redecode fraction on the
@@ -565,13 +507,6 @@ func buildBenchReport(seed int64) (*benchReport, error) {
 	}
 	report.Streaming = streaming
 	report.Benchmarks = append(report.Benchmarks, streamBench)
-
-	shardRows, shardRT, err := profileSharded(net, ep)
-	if err != nil {
-		return nil, err
-	}
-	streaming.RealtimeFactorSharded = shardRT
-	report.Benchmarks = append(report.Benchmarks, shardRows...)
 
 	gwFPS, err := profileGateway(net, ep)
 	if err != nil {

@@ -121,9 +121,8 @@ func main() {
 
 // baseDecoderConfig is the gateway's per-session decoder template: the
 // simulation flags describe the reader scenario (rates and payload
-// sizes are not on the wire), exactly as lfdist -replay relies on its
-// simulation flags. Cancellation is off so sessions retain a bounded
-// window rather than whole captures.
+// sizes are not on the wire). Cancellation is off so sessions retain
+// a bounded window rather than whole captures.
 func baseDecoderConfig(tags int, payloadMS float64, calib int64) (lf.DecoderConfig, error) {
 	net, err := lf.NewNetwork(lf.NetworkConfig{
 		NumTags:        tags,

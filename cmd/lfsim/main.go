@@ -5,14 +5,9 @@
 // Usage:
 //
 //	lfsim [-tags N] [-rate bps] [-payload-ms ms] [-seed N] [-workers N]
-//	      [-stream] [-block N] [-calib N] [-shards N]
+//	      [-stream] [-block N] [-calib N]
 //	      [-record FILE] [-replay FILE]
 //	      [-fault SPEC] [-fault-seed N] [-stats] [-v]
-//
-// -shards (with -stream) adds data parallelism to edge detection: the
-// differential sweep is carved into seam-safe stripes decoded by a
-// worker pool. Byte-identical at any shard count; -stats shows the
-// stripe counters.
 //
 // -fault injects deterministic impairments before decoding, e.g.
 // -fault burst:0.5,dropout:0.3,nonfinite:1 — see internal/fault for
@@ -49,7 +44,6 @@ func main() {
 	stream := flag.Bool("stream", false, "decode through the streaming pipeline (bounded memory, frames surface mid-capture); bit-identical to batch")
 	block := flag.Int("block", 8192, "streaming block size in samples (with -stream)")
 	calib := flag.Int64("calib", 32768, "noise-calibration sample budget for -stream (0 defers decoding to end of capture)")
-	shards := flag.Int("shards", 0, "data-parallel shard workers for the streaming sweep (with -stream): 0/1 = off, >=2 = sharded; byte-identical at any count")
 	faultSpec := flag.String("fault", "", "inject faults before decoding: comma-separated kind:severity list (e.g. burst:0.5,dropout:0.3)")
 	faultSeed := flag.Int64("fault-seed", 42, "seed for the fault injectors (same seed, same spec: byte-identical impairment)")
 	stats := flag.Bool("stats", false, "dump pipeline metrics (expvar-style text) after the decode")
@@ -81,7 +75,6 @@ func main() {
 	firstFrame = -1
 	if *stream {
 		dcfg.CalibSamples = *calib
-		dcfg.ShardParallelism = *shards
 		dcfg.OnFrame = func(*lf.StreamResult) {
 			if firstFrame < 0 {
 				firstFrame = pushed

@@ -84,27 +84,6 @@ type Config struct {
 	// 1 = serial). Decoder-internal randomness is split per stream in a
 	// fixed order, so the decode is bit-identical at any setting.
 	Parallelism int
-	// ShardParallelism ≥ 2 runs the decode data-parallel across
-	// cores: the dominant per-sample stage (the differential
-	// magnitude sweep) is carved into seam-safe overlapping shards
-	// computed concurrently on a pull-based worker pool
-	// (internal/shard, edgedetect stripe mode), and the slot walkers
-	// fan out across the pool once streams register. The shard
-	// overlap derives from the pipeline's provably-final cut
-	// distances (DESIGN.md §15), so the decode is byte-identical to
-	// ShardParallelism = 1 at any shard count. 0 or 1 disables
-	// sharding. Batch Decode honours it too — the capture is pushed
-	// as one block and the shards drain at Flush — as do SIC residual
-	// decodes, which inherit the setting.
-	ShardParallelism int
-	// StripeRunner, when non-nil and ShardParallelism ≥ 2, executes
-	// each sweep stripe instead of the in-process kernel — the
-	// distributed coordinator (internal/dist) hooks here to ship
-	// stripes to remote workers. The runner must fill the job's Dst
-	// with exactly the bytes StripeJob.Run would produce, or return an
-	// error (which poisons that stripe like an in-process panic). SIC
-	// residual decodes inherit it with the rest of the config.
-	StripeRunner func(*edgedetect.StripeJob) error
 	// CalibSamples bounds the edge detector's noise calibration to the
 	// first CalibSamples differential magnitudes, which is what lets
 	// the streaming decoder start detecting — and bound its memory —

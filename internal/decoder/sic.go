@@ -9,7 +9,6 @@ import (
 	"lf/internal/iq"
 	"lf/internal/obs"
 	"lf/internal/pool"
-	"lf/internal/shard"
 	"lf/internal/streams"
 	"lf/internal/viterbi"
 )
@@ -220,7 +219,7 @@ const sicTrust = 0.45
 // that the decode never reads them.
 type sicState struct {
 	residual   []complex128
-	copied     []shard.Range // residual ranges materialized from retain
+	copied     []edgedetect.Span // residual ranges materialized from retain
 	sumsRe     []float64
 	sumsIm     []float64
 	seeded     bool // lanes admissible (no inadmissible samples seen)
@@ -238,7 +237,7 @@ type sicState struct {
 // because every subtracted range is inside some round's regions
 // (touched ⊆ active ⊆ regions), hence materialized before it is
 // subtracted and never re-copied after.
-func (st *sicState) ensureResidual(retain []complex128, ranges []shard.Range) {
+func (st *sicState) ensureResidual(retain []complex128, ranges []edgedetect.Span) {
 	if st.residual == nil {
 		st.residual = pool.ComplexUninit(len(retain))
 	}
@@ -295,7 +294,7 @@ func (sd *StreamDecoder) runCancellation() {
 		!math.IsInf(f, 1) && !math.IsInf(th, 1) {
 		calib = &edgedetect.CalibPreset{Floor: f, Threshold: th}
 	}
-	reach := shard.SweepReach(cfg.Edge.Gap, cfg.Edge.Win)
+	reach := edgedetect.SweepReach(cfg.Edge.Gap, cfg.Edge.Win)
 	st := &sicState{}
 	defer st.release()
 	for round := 0; round < cfg.CancellationRounds; round++ {
@@ -424,12 +423,12 @@ func (sd *StreamDecoder) laneReach() (left, right int64) {
 // read under the given detection mask: each mask span padded by the
 // walker/window reach on both sides, clamped and merged. A nil mask
 // (sweep everything) folds the whole capture.
-func (sd *StreamDecoder) laneRegions(active []shard.Range, n int) []shard.Range {
+func (sd *StreamDecoder) laneRegions(active []edgedetect.Span, n int) []edgedetect.Span {
 	if active == nil {
-		return []shard.Range{{Lo: 0, Hi: int64(n)}}
+		return []edgedetect.Span{{Lo: 0, Hi: int64(n)}}
 	}
 	left, right := sd.laneReach()
-	regions := make([]shard.Range, 0, len(active))
+	regions := make([]edgedetect.Span, 0, len(active))
 	for _, r := range active {
 		lo, hi := r.Lo-left, r.Hi+right
 		if lo < 0 {
@@ -439,7 +438,7 @@ func (sd *StreamDecoder) laneRegions(active []shard.Range, n int) []shard.Range 
 			hi = int64(n)
 		}
 		if lo < hi {
-			regions = append(regions, shard.Range{Lo: lo, Hi: hi})
+			regions = append(regions, edgedetect.Span{Lo: lo, Hi: hi})
 		}
 	}
 	return mergeRanges(regions)
@@ -454,7 +453,7 @@ func (sd *StreamDecoder) laneRegions(active []shard.Range, n int) []shard.Range 
 // inadmissible sample (non-finite or overflow-scale — exactly what the
 // detector's push path replaces under hold-last-finite); the caller
 // must then fall back to the push path, which owns that semantics.
-func foldLanes(re, im []float64, residual []complex128, regions []shard.Range) bool {
+func foldLanes(re, im []float64, residual []complex128, regions []edgedetect.Span) bool {
 	for _, r := range regions {
 		re[r.Lo], im[r.Lo] = 0, 0
 		if dsp.RepairPrefix(re, im, residual[:r.Hi], int(r.Lo),
@@ -471,7 +470,7 @@ func foldLanes(re, im []float64, residual []complex128, regions []shard.Range) b
 // push-path fallback decision are byte-identical. The final lane entry
 // is pinned so the value NewStream snapshots as its (unused, seeded
 // streams never fold further) closing accumulator is deterministic.
-func (sd *StreamDecoder) seedLanes(st *sicState, residual []complex128, active, regions []shard.Range, calib *edgedetect.CalibPreset) *edgedetect.SweepSeed {
+func (sd *StreamDecoder) seedLanes(st *sicState, residual []complex128, active, regions []edgedetect.Span, calib *edgedetect.CalibPreset) *edgedetect.SweepSeed {
 	n := len(residual)
 	if calib == nil || !st.seedable() {
 		// No calibration to carry means no seeded detector (a seeded
@@ -501,7 +500,7 @@ func (sd *StreamDecoder) seedLanes(st *sicState, residual []complex128, active, 
 // inadmissible samples abandons seeding for the rest of the epoch
 // (sicState.seedable) and decodes through the push path, which reads
 // the whole residual — so that path materializes the rest first.
-func (sd *StreamDecoder) incrementalResidualDecode(st *sicState, contribs [][]reconSeg, touched, active []shard.Range, calib *edgedetect.CalibPreset) (*Result, error) {
+func (sd *StreamDecoder) incrementalResidualDecode(st *sicState, contribs [][]reconSeg, touched, active []edgedetect.Span, calib *edgedetect.CalibPreset) (*Result, error) {
 	n := len(sd.retain)
 	regions := sd.laneRegions(active, n)
 	st.ensureResidual(sd.retain, regions)
@@ -513,7 +512,7 @@ func (sd *StreamDecoder) incrementalResidualDecode(st *sicState, contribs [][]re
 	}
 	seed := sd.seedLanes(st, st.residual, active, regions, calib)
 	if seed == nil {
-		st.ensureResidual(sd.retain, []shard.Range{{Lo: 0, Hi: int64(n)}})
+		st.ensureResidual(sd.retain, []edgedetect.Span{{Lo: 0, Hi: int64(n)}})
 	}
 	return sd.residualDecode(st.residual, calib, seed)
 }
@@ -528,7 +527,7 @@ func (sd *StreamDecoder) incrementalResidualDecode(st *sicState, contribs [][]re
 // values and the identical push-path fallback decision, and the decode
 // runs under the same detection mask — so the A/B axis isolates
 // exactly the carry-over machinery.
-func (sd *StreamDecoder) fullResidualDecode(st *sicState, active []shard.Range, calib *edgedetect.CalibPreset) (*Result, error) {
+func (sd *StreamDecoder) fullResidualDecode(st *sicState, active []edgedetect.Span, calib *edgedetect.CalibPreset) (*Result, error) {
 	n := len(sd.retain)
 	ramp := int(sd.cfg.Edge.Gap)
 	if ramp < 1 {
@@ -619,18 +618,18 @@ func subtractSegs(residual []complex128, contribs [][]reconSeg, lo, hi int) {
 
 // touchedRanges merges the exact extents of every non-zero
 // reconstruction segment — the samples this round's subtraction
-// modifies — into a sorted disjoint shard.Range tiling. Constant
+// modifies — into a sorted disjoint edgedetect.Span tiling. Constant
 // (+0, +0) segments leave the residual bitwise unchanged and are
 // excluded, exactly mirroring subtractSegs's skip.
-func touchedRanges(contribs [][]reconSeg) []shard.Range {
-	var spans []shard.Range
+func touchedRanges(contribs [][]reconSeg) []edgedetect.Span {
+	var spans []edgedetect.Span
 	for _, segs := range contribs {
 		for _, seg := range segs {
 			if seg.dense == nil && real(seg.val) == 0 && imag(seg.val) == 0 &&
 				!math.Signbit(real(seg.val)) && !math.Signbit(imag(seg.val)) {
 				continue
 			}
-			spans = append(spans, shard.Range{Lo: int64(seg.lo), Hi: int64(seg.hi)})
+			spans = append(spans, edgedetect.Span{Lo: int64(seg.lo), Hi: int64(seg.hi)})
 		}
 	}
 	return mergeRanges(spans)
@@ -638,7 +637,7 @@ func touchedRanges(contribs [][]reconSeg) []shard.Range {
 
 // mergeRanges sorts spans by Lo and merges overlapping or adjacent
 // ones into a disjoint cover.
-func mergeRanges(spans []shard.Range) []shard.Range {
+func mergeRanges(spans []edgedetect.Span) []edgedetect.Span {
 	if len(spans) == 0 {
 		return nil
 	}
@@ -660,21 +659,21 @@ func mergeRanges(spans []shard.Range) []shard.Range {
 }
 
 // dirtyClosure is the residual pass's detection mask: the touched
-// spans widened by the sweep's cut distance (shard.SweepReach — beyond
-// it every windowed differential reads byte-identical input, the §15
-// argument), then closed over the widened extents of decoded
+// spans widened by the sweep's cut distance (edgedetect.SweepReach —
+// beyond it every windowed differential reads byte-identical input,
+// DESIGN.md §17), then closed over the widened extents of decoded
 // streams they overlap. A stream straddling a dirty span must stay
 // fully visible to the residual pass — masking half of it would
 // re-register the visible half as a phantom partial — and its extent
 // can in turn overlap further streams, so the union iterates to a
 // fixpoint (collision chains). Returns nil (sweep everything) when
 // there are no touched spans.
-func (sd *StreamDecoder) dirtyClosure(touched []shard.Range, reach int64, n int) []shard.Range {
+func (sd *StreamDecoder) dirtyClosure(touched []edgedetect.Span, reach int64, n int) []edgedetect.Span {
 	active := widenRanges(touched, reach, n)
 	if len(active) == 0 {
 		return nil
 	}
-	exts := make([]shard.Range, 0, len(sd.results))
+	exts := make([]edgedetect.Span, 0, len(sd.results))
 	for _, sr := range sd.results {
 		if len(sr.Slots) == 0 {
 			continue
@@ -687,7 +686,7 @@ func (sd *StreamDecoder) dirtyClosure(touched []shard.Range, reach int64, n int)
 			hi = int64(n)
 		}
 		if lo < hi {
-			exts = append(exts, shard.Range{Lo: lo, Hi: hi})
+			exts = append(exts, edgedetect.Span{Lo: lo, Hi: hi})
 		}
 	}
 	for changed := true; changed; {
@@ -708,8 +707,8 @@ func (sd *StreamDecoder) dirtyClosure(touched []shard.Range, reach int64, n int)
 
 // widenRanges pads each span by pad samples, clamps to [0, n), and
 // merges the result into a sorted disjoint cover.
-func widenRanges(spans []shard.Range, pad int64, n int) []shard.Range {
-	widened := make([]shard.Range, 0, len(spans))
+func widenRanges(spans []edgedetect.Span, pad int64, n int) []edgedetect.Span {
+	widened := make([]edgedetect.Span, 0, len(spans))
 	for _, r := range spans {
 		lo, hi := r.Lo-pad, r.Hi+pad
 		if lo < 0 {
@@ -719,7 +718,7 @@ func widenRanges(spans []shard.Range, pad int64, n int) []shard.Range {
 			hi = int64(n)
 		}
 		if lo < hi {
-			widened = append(widened, shard.Range{Lo: lo, Hi: hi})
+			widened = append(widened, edgedetect.Span{Lo: lo, Hi: hi})
 		}
 	}
 	return mergeRanges(widened)
@@ -727,8 +726,8 @@ func widenRanges(spans []shard.Range, pad int64, n int) []shard.Range {
 
 // rangeDiff returns the parts of a not covered by b, both sorted
 // disjoint covers, as a sorted disjoint cover.
-func rangeDiff(a, b []shard.Range) []shard.Range {
-	var out []shard.Range
+func rangeDiff(a, b []edgedetect.Span) []edgedetect.Span {
+	var out []edgedetect.Span
 	bi := 0
 	for _, r := range a {
 		lo := r.Lo
@@ -737,21 +736,21 @@ func rangeDiff(a, b []shard.Range) []shard.Range {
 		}
 		for j := bi; j < len(b) && b[j].Lo < r.Hi; j++ {
 			if b[j].Lo > lo {
-				out = append(out, shard.Range{Lo: lo, Hi: b[j].Lo})
+				out = append(out, edgedetect.Span{Lo: lo, Hi: b[j].Lo})
 			}
 			if b[j].Hi > lo {
 				lo = b[j].Hi
 			}
 		}
 		if lo < r.Hi {
-			out = append(out, shard.Range{Lo: lo, Hi: r.Hi})
+			out = append(out, edgedetect.Span{Lo: lo, Hi: r.Hi})
 		}
 	}
 	return out
 }
 
 // overlapsRanges reports whether e intersects any of rs.
-func overlapsRanges(rs []shard.Range, e shard.Range) bool {
+func overlapsRanges(rs []edgedetect.Span, e edgedetect.Span) bool {
 	for _, r := range rs {
 		if r.Lo < e.Hi && e.Lo < r.Hi {
 			return true

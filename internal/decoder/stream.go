@@ -35,7 +35,6 @@ import (
 type StreamDecoder struct {
 	cfg        Config
 	workers    int
-	shardW     int // ≥ 2 when sharded decode is on (Config.ShardParallelism)
 	sampleRate float64
 	det        *edgedetect.Stream
 	src        *rng.Source
@@ -92,16 +91,10 @@ func NewStreamDecoder(sampleRate float64, cfg Config) (*StreamDecoder, error) {
 	if m.Registry != nil {
 		meter = &work.Meter{Batches: m.Work.Batches, Tasks: m.Work.Tasks, Occupancy: m.Work.Occupancy}
 	}
-	shardW := 0
-	if cfg.ShardParallelism >= 2 {
-		shardW = cfg.ShardParallelism
-	}
 	det, err := edgedetect.NewStream(edgedetect.StreamConfig{
 		Config: ecfg, CalibSamples: cfg.CalibSamples,
 		Metrics: m.Edge, Meter: meter,
-		ShardWorkers: shardW, Shards: m.Shard,
-		StripeRunner: cfg.StripeRunner,
-		Calib:        cfg.sicCalib, Seed: cfg.sicSeed,
+		Calib: cfg.sicCalib, Seed: cfg.sicSeed,
 	})
 	if err != nil {
 		return nil, err
@@ -109,7 +102,6 @@ func NewStreamDecoder(sampleRate float64, cfg Config) (*StreamDecoder, error) {
 	sd := &StreamDecoder{
 		cfg:        cfg,
 		workers:    workers,
-		shardW:     shardW,
 		sampleRate: sampleRate,
 		det:        det,
 		src:        rng.New(cfg.Seed),
@@ -391,12 +383,8 @@ func (sd *StreamDecoder) register() {
 
 // stepWalkers advances every live walker while its next step's inputs
 // — the edges inside its pick window and the samples under its soft
-// measurement — are final. In sharded decode the walkers fan out
-// across the worker pool: each Step mutates only walker-local state
-// and performs pure reads on the detector source (finalized edges,
-// prefix-sum measurements), so per-walker goroutines are race-free,
-// and per-index quarantine capture keeps the panic taxonomy identical
-// to the serial loop.
+// measurement — are final. A panicking walker is quarantined; the
+// rest keep stepping.
 func (sd *StreamDecoder) stepWalkers() {
 	closed := sd.det.Closed()
 	edgeDone := sd.det.EdgeComplete()
@@ -415,14 +403,6 @@ func (sd *StreamDecoder) stepWalkers() {
 			}
 			w.Step(sd.det)
 		}
-	}
-	if sd.shardW >= 2 && len(sd.walkers) > 1 {
-		sd.meter.Do(sd.shardW, len(sd.walkers), func(i int) {
-			if sd.quarantined[i] == "" {
-				step(i)
-			}
-		})
-		return
 	}
 	for i := range sd.walkers {
 		if sd.quarantined[i] != "" {

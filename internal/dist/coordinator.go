@@ -11,7 +11,6 @@ import (
 	"lf/internal/edgedetect"
 	"lf/internal/fault"
 	"lf/internal/obs"
-	"lf/internal/shard"
 	"lf/internal/wire"
 )
 
@@ -102,9 +101,8 @@ type pending struct {
 }
 
 // Coordinator serves the stripe queue to pulled workers and merges
-// results into the jobs' Dst buffers. Install RunStripe as the
-// decoder's StripeRunner; one coordinator serves any number of
-// sequential or concurrent decodes (job IDs are global).
+// results into the jobs' Dst buffers. One coordinator serves any
+// number of sequential or concurrent callers (job IDs are global).
 type Coordinator struct {
 	cfg CoordinatorConfig
 	ln  net.Listener
@@ -218,12 +216,11 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// RunStripe is the StripeRunner hook: it serves job to the worker
-// fleet and returns when the job's Dst holds the stripe (or the shard
-// is quarantined). With no fleet — none connected, fleet drained, or
-// attempts exhausted — the stripe is computed locally, so the decode
-// always completes. Safe for concurrent use (the shard pool calls it
-// from every in-process worker).
+// RunStripe serves job to the worker fleet and returns when the job's
+// Dst holds the stripe (or the stripe is quarantined). With no fleet —
+// none connected, fleet drained, or attempts exhausted — the stripe is
+// computed locally, so the call always completes. Safe for concurrent
+// use.
 func (c *Coordinator) RunStripe(job *edgedetect.StripeJob) error {
 	c.m.Shards.Inc()
 	p := c.submit(job)
@@ -597,7 +594,7 @@ func shipJob(p *pending) *wireJob {
 		wj.Base = ilo
 		return wj
 	}
-	margin := shard.SweepMargin(j.Gap, j.Win)
+	margin := edgedetect.SweepMargin(j.Gap, j.Win)
 	shipLo, shipHi := ilo-margin, ihi+margin
 	wj.Base = shipLo
 	wj.Re = j.Re[shipLo-j.Base : shipHi-j.Base]

@@ -14,7 +14,6 @@ import (
 	"lf/internal/decoder"
 	"lf/internal/edgedetect"
 	"lf/internal/fault"
-	"lf/internal/shard"
 )
 
 // makeJob hand-builds a StripeJob over seeded synthetic prefix sums:
@@ -30,7 +29,7 @@ func makeJob(seed uint64, n, lo, hi int64) *edgedetect.StripeJob {
 		im[i] = im[i-1] + float64((h<<24)>>40)/(1<<24)
 	}
 	var g, w int64 = 4, 8
-	margin := shard.SweepMargin(g, w)
+	margin := edgedetect.SweepMargin(g, w)
 	return &edgedetect.StripeJob{
 		Lo: lo, Hi: hi,
 		IntLo: margin, IntHi: n - margin,

@@ -1,24 +1,22 @@
-// Package dist distributes the sharded differential sweep across
-// machines: a coordinator serves the stripe queue over a
-// length-prefixed, CRC-guarded TCP protocol, and workers dial in, pull
-// stripe assignments, compute them with the same kernels the
-// in-process shard pool uses, and stream the magnitudes back for
-// deterministic submission-order merge. The coordinator installs
-// itself as the decoder's StripeRunner (DecoderConfig.StripeRunner),
-// so the merge path — adoption order, seam math, drop blanking — is
-// literally the single-machine code; distribution changes where a
-// stripe's bytes are computed, never which bytes they are (the
-// determinism argument is DESIGN.md §16).
+// Package dist computes differential-sweep stripes
+// (edgedetect.StripeJob) on remote machines: a coordinator serves a
+// stripe queue over a length-prefixed, CRC-guarded TCP protocol, and
+// workers dial in, pull stripe assignments, compute them with
+// StripeJob.Run, and stream the magnitudes back into the job's Dst.
+// Where a stripe is computed never changes its bytes.
+//
+// Nothing in the decoder calls RunStripe (DecoderConfig.StripeRunner
+// is a deprecated no-op); the package remains only for the
+// benchmark's dist.loopback_rt row and goes together with it.
 //
 // The robustness model: every transport failure is recoverable.
 // Dropped connections, lease expiries, corrupt or truncated frames,
 // and stragglers all degrade to a re-queue (served by another worker,
 // a hedge, or the coordinator's own CPU when the fleet drains), so a
-// faulted distributed decode returns the same bits as a clean local
-// one. The only failure that surfaces to the decode is a poisoned
-// shard — a worker reporting a typed decode error — and that
-// quarantines the one shard as lf.DecodeError instead of killing the
-// pool.
+// faulted remote stripe returns the same bits as local compute. The
+// only failure that surfaces to the caller is a poisoned stripe — a
+// worker reporting a typed decode error — which RunStripe returns as
+// an lf.DecodeError for that one stripe.
 package dist
 
 import (

@@ -8,7 +8,6 @@ import (
 	"lf/internal/dsp"
 	"lf/internal/obs"
 	"lf/internal/pool"
-	"lf/internal/shard"
 	"lf/internal/work"
 )
 
@@ -31,22 +30,6 @@ type StreamConfig struct {
 	// Meter, when non-nil, meters the differential sweep's worker-pool
 	// dispatch (runtime-class; see work.Meter).
 	Meter *work.Meter
-	// ShardWorkers ≥ 2 runs the differential sweep in shard mode: the
-	// sweep is carved into seam-safe stripes computed concurrently on a
-	// pull-based worker pool while the owner goroutine keeps pushing
-	// (see stripe.go). The detected edge set stays bit-identical at any
-	// worker count. 0 and 1 keep the serial in-push sweep.
-	ShardWorkers int
-	// Shards, when populated, receives shard-mode stripe counters
-	// (runtime-class). The zero value records nothing.
-	Shards obs.ShardMetrics
-	// StripeRunner, when non-nil in shard mode, executes each stripe
-	// job instead of the in-process kernel: the distributed coordinator
-	// hooks here to ship jobs to remote workers. The runner must fill
-	// job.Dst with exactly the bytes job.Run would produce (or return an
-	// error, which poisons the stripe like an in-process panic). Ignored
-	// when ShardWorkers < 2.
-	StripeRunner func(*StripeJob) error
 	// Calib, when non-nil, presets noise calibration: the stream starts
 	// calibrated with the given floor and threshold, and no calibration
 	// median is taken. SIC residual decodes use this to carry the first
@@ -98,7 +81,7 @@ type SweepSeed struct {
 	// argument that out-of-mask positions carry nothing it wants
 	// detected (the SIC dirty-span closure: DESIGN.md §17). nil sweeps
 	// the whole capture.
-	Active []shard.Range
+	Active []Span
 }
 
 // Stream is an incremental edge detector: IQ samples are pushed in
@@ -143,18 +126,6 @@ type Stream struct {
 	magBase int64
 	magDone int64
 
-	// Shard mode (stripe.go): the pull-based stripe pool, the FIFO of
-	// in-flight stripes, the next position to stripe (stripeFront ≥
-	// magDone; [magDone, stripeFront) is covered by pending stripes),
-	// and the in-flight stripe-buffer bytes for RetainedBytes.
-	shards       *shard.Pool
-	shardWorkers int
-	stripes      []*stripe
-	stripeFront  int64
-	stripeBytes  int64
-	sm           obs.ShardMetrics
-	stripeRun    func(*StripeJob) error
-
 	calibrated bool
 	floor      float64
 	threshold  float64
@@ -191,11 +162,14 @@ type Stream struct {
 	// active, when non-nil, is the seeded detection mask (sorted
 	// disjoint sample spans); the sweep and the local-maximum scan
 	// visit only these ranges (SweepSeed.Active).
-	active []shard.Range
+	active []Span
 }
 
 // Span is a half-open range [Lo, Hi) of absolute sample positions.
 type Span struct{ Lo, Hi int64 }
+
+// Len returns the number of positions the span covers.
+func (r Span) Len() int64 { return r.Hi - r.Lo }
 
 // maxSampleMag bounds accepted sample magnitudes: components beyond it
 // could overflow the running prefix sums to Inf and poison every
@@ -246,7 +220,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		}
 	}
 	s := &Stream{cfg: cfg.Config, calib: cfg.CalibSamples, workers: work.Resolve(cfg.Parallelism),
-		em: cfg.Metrics, meter: cfg.Meter, sm: cfg.Shards, stripeRun: cfg.StripeRunner}
+		em: cfg.Metrics, meter: cfg.Meter}
 	if cfg.Seed != nil {
 		s.sumsRe, s.sumsIm = cfg.Seed.SumsRe, cfg.Seed.SumsIm
 		s.active = cfg.Seed.Active
@@ -264,13 +238,6 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		s.threshold = cfg.Calib.Threshold
 	}
 	s.mag = pool.Float(0)
-	// A seeded stream's sweep runs once, at Close, over the (typically
-	// small) active mask; striping it buys nothing and the mask is an
-	// inline-sweep feature, so shard mode stays off.
-	if cfg.ShardWorkers >= 2 && cfg.Seed == nil {
-		s.shardWorkers = cfg.ShardWorkers
-		s.shards = shard.NewPool(s.shardWorkers, maxStripesInFlight*s.shardWorkers)
-	}
 	return s, nil
 }
 
@@ -295,14 +262,6 @@ func (s *Stream) Reset() {
 	s.sumBase, s.accRe, s.accIm, s.front = 0, 0, 0, 0
 	s.mag = s.mag[:0]
 	s.magBase, s.magDone = 0, 0
-	if len(s.stripes) > 0 {
-		s.closeShards() // a mid-capture reset must not orphan workers
-	}
-	s.stripeFront = 0
-	if s.shardWorkers >= 2 && s.shards == nil {
-		// Close retired the pool; a reused stream gets a fresh one.
-		s.shards = shard.NewPool(s.shardWorkers, maxStripesInFlight*s.shardWorkers)
-	}
 	s.calibrated, s.floor, s.threshold = false, 0, 0
 	s.scanned = 0
 	s.raw, s.kept = s.raw[:0], s.kept[:0]
@@ -353,8 +312,7 @@ func (s *Stream) Push(block []complex128) error {
 	s.front += int64(len(block))
 	s.advance()
 	s.trim()
-	// Shard mode can surface a poisoned stripe's error at adoption.
-	return s.err
+	return nil
 }
 
 // Close marks end of capture, drains every pending stage, and frees
@@ -371,17 +329,12 @@ func (s *Stream) Close() error {
 		return nil
 	}
 	if s.front == 0 {
-		s.closeShards()
 		s.err = errors.New("edgedetect: capture has no samples")
 		return s.err
 	}
 	s.eof = true
 	s.total = s.front
 	s.advance()
-	s.closeShards() // advance drained every stripe; retire the workers
-	if s.err != nil {
-		return s.err
-	}
 	if s.mag != nil {
 		pool.PutFloat(s.mag)
 		s.mag = nil
@@ -399,7 +352,6 @@ func (s *Stream) Release() {
 		return
 	}
 	s.released = true
-	s.closeShards()
 	if !s.extSums {
 		pool.PutFloat(s.sumsRe)
 		pool.PutFloat(s.sumsIm)
@@ -472,7 +424,7 @@ func (s *Stream) SetLowWater(pos int64) {
 // capacity beyond the live window: the backing arrays come from the
 // shared pool and may carry slack amortized across unrelated decodes.
 func (s *Stream) RetainedBytes() int64 {
-	return int64(len(s.sumsRe)+len(s.sumsIm)+len(s.mag))*8 + s.stripeBytes +
+	return int64(len(s.sumsRe)+len(s.sumsIm)+len(s.mag))*8 +
 		int64(len(s.raw)+len(s.kept))*16 + s.nms.RetainedBytes() +
 		int64(len(s.groups)-s.ghead)*32
 }
@@ -597,7 +549,7 @@ func (s *Stream) futureFirstMin() int64 {
 // NMS/coalesce cuts, and group refinement.
 func (s *Stream) advance() {
 	g, w := s.cfg.Gap, s.cfg.Win
-	margin := g + w
+	margin := SweepMargin(g, w)
 
 	// 1. Differential magnitudes. A position's windows span ±(Gap+Win),
 	// so pre-Close only positions below front−margin are computable;
@@ -607,35 +559,14 @@ func (s *Stream) advance() {
 	if s.eof {
 		hi = s.total
 	}
-	if s.shardOn() {
-		// Shard mode: the sweep runs on the stripe pool instead of
-		// inline; magDone advances as completed stripes are adopted in
-		// order (stripe.go). Every downstream stage is monotone in
-		// magDone, so the adoption lag delays decisions without changing
-		// them.
-		s.shardSweep(hi)
-		if s.err != nil {
-			return
-		}
-	} else if hi > s.magDone {
+	if hi > s.magDone {
 		lo := s.magDone
 		count := int(hi - lo)
 		s.mag = extendFloats(s.mag, count)
-		limit := s.limit()
-		intLo, intHi := margin, limit-margin
+		intLo, intHi := margin, s.limit()-margin
 		sweepChunk := func(plo, phi int64) {
-			ilo := max(plo, intLo)
-			ihi := min(phi, intHi)
-			for p := plo; p < min(ilo, phi); p++ {
-				s.mag[p-s.magBase] = 0
-			}
-			if ilo < ihi {
-				dsp.DiffSweep(s.sumsRe, s.sumsIm, int(ilo-s.sumBase), g, w,
-					s.mag[ilo-s.magBase:ihi-s.magBase])
-			}
-			for p := max(ihi, plo); p < phi; p++ {
-				s.mag[p-s.magBase] = 0
-			}
+			sweepRange(s.mag[plo-s.magBase:phi-s.magBase], s.sumsRe, s.sumsIm, s.sumBase,
+				plo, phi, intLo, intHi, g, w)
 		}
 		if s.active == nil {
 			s.meter.DoRanges(s.workers, count, func(clo, chi int) {
@@ -941,22 +872,6 @@ func (s *Stream) dropSums(keep int64) {
 	}
 	drop := keep - s.sumBase
 	if drop < 1<<13 || int(drop) < len(s.sumsRe)/2 {
-		return
-	}
-	if s.shardOn() {
-		// Copy-out compaction: in-flight stripe workers hold
-		// slice-header snapshots of the current backing arrays, so
-		// instead of rewriting entries under them the retained tail
-		// moves into fresh arrays and the old ones are left, intact,
-		// to their readers (and the GC). No drain needed, which
-		// matters in shard mode: a stripe is nearly always in flight.
-		n := len(s.sumsRe) - int(drop)
-		re := pool.FloatUninit(n)
-		im := pool.FloatUninit(n)
-		copy(re, s.sumsRe[drop:])
-		copy(im, s.sumsIm[drop:])
-		s.sumsRe, s.sumsIm = re, im
-		s.sumBase = keep
 		return
 	}
 	n := copy(s.sumsRe, s.sumsRe[drop:])

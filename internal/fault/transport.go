@@ -1,7 +1,7 @@
 package fault
 
-// Transport-level impairment: seeded fault injection for the
-// distributed shard protocol (internal/dist). Where the capture-level
+// Transport-level impairment: seeded fault injection for the TCP
+// protocols (internal/dist, internal/gate). Where the capture-level
 // injectors corrupt IQ samples before the decoder sees them, the
 // transport injectors corrupt the *wire* between coordinator and
 // workers — dropped connections, stalls, short writes, flipped bytes —

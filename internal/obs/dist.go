@@ -1,12 +1,10 @@
 package obs
 
-// DistMetrics instruments the distributed shard coordinator
+// DistMetrics instruments the remote stripe coordinator
 // (internal/dist). ClassRuntime throughout: retry counts, hedge
 // counts, byte totals, and the local/remote split all depend on wall
-// clock, scheduling, and injected transport faults — and per the
-// stripe merge's determinism argument (DESIGN.md §16) none of them
-// ever influences a decoded bit, which is how a faulted distributed
-// decode keeps the decode-class stats identity of the local decode.
+// clock, scheduling, and injected transport faults, and none of them
+// changes the bytes a served stripe comes back with.
 type DistMetrics struct {
 	// Shards counts stripe jobs entering the coordinator (one per
 	// StripeJob handed to RunStripe, however it is eventually served).

@@ -32,7 +32,6 @@ type Pipeline struct {
 	Drops   DropMetrics
 	Work    WorkMetrics
 	Stage   StageTimings
-	Shard   ShardMetrics
 }
 
 // EdgeMetrics instruments the edge detector. Conservation invariants:
@@ -177,22 +176,6 @@ type StageTimings struct {
 	Flush *Timing
 }
 
-// ShardMetrics instruments the sharded differential sweep
-// (ClassRuntime throughout: stripe boundaries and in-flight depth
-// depend on push cadence and worker scheduling, and per the sweep's
-// output-invariance argument they never influence a decode decision —
-// which is how sharded stats keep satisfying the decode-class
-// conservation identities).
-type ShardMetrics struct {
-	// Stripes counts sweep stripes dispatched to the shard pool;
-	// Samples totals the magnitude positions they own. Every position
-	// is owned by exactly one stripe, so Samples converges on the
-	// capture's computable magnitude span.
-	Stripes, Samples *Counter
-	// InFlight is the high-water count of stripes pending adoption.
-	InFlight *Gauge
-}
-
 // pathMarginBounds buckets the normalized Viterbi path margin: fractions
 // of a nat per slot at the low end, saturating at the single-survivor
 // sentinel scale.
@@ -272,11 +255,6 @@ func NewPipeline() *Pipeline {
 			Cancel: r.Timing("stage.cancel_ns"),
 			SIC:    r.Timing("stage.sic_ns"),
 			Flush:  r.Timing("stage.flush_ns"),
-		},
-		Shard: ShardMetrics{
-			Stripes:  r.Counter("shard.stripes", ClassRuntime),
-			Samples:  r.Counter("shard.samples", ClassRuntime),
-			InFlight: r.Gauge("shard.inflight", ClassRuntime),
 		},
 	}
 }

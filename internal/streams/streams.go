@@ -711,9 +711,7 @@ func RegistrationHorizon(cfg Config, payloadBits func(rate float64) int) int64 {
 // drift, widened by the edge-pick tolerance and localization slack.
 // It is the per-stream member of the provably-final cut family —
 // RegistrationHorizon bounds registration globally, WalkHorizon bounds
-// one stream's re-walk during commit — and together with the edge
-// detector's sweep reach it is what seam-safe shard overlap derives
-// from (internal/shard, DESIGN.md §15).
+// one stream's re-walk during commit.
 func WalkHorizon(cfg Config, offset, period float64, slots int) int64 {
 	drift := 1 + cfg.DriftPPM/1e6
 	return int64(offset+float64(slots+2)*period*drift) + cfg.PosTol + 64

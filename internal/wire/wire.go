@@ -1,5 +1,5 @@
 // Package wire is the length-prefixed, CRC-guarded framing shared by
-// the repo's TCP protocols: the distributed shard protocol
+// the repo's TCP protocols: the remote stripe protocol
 // (internal/dist) and the reader-gateway ingest protocol
 // (internal/gate). Both speak the same frame shape —
 //

@@ -1,10 +1,15 @@
 // Package work provides the bounded worker pools the reader pipeline
-// fans out on. Every helper here preserves a hard determinism
-// contract: callers pass closures that write only to per-index (or
-// per-range) state, so the observable result is bit-identical whether
-// the work runs on one goroutine or many. Parallelism knobs throughout
-// the system (decoder.Config.Parallelism, edgedetect.Config.Parallelism,
-// experiment.Config.Workers) resolve through this package.
+// fans out on. It is the only way one decode uses more than one core:
+// the differential sweep splits into DoRanges chunks, and the
+// per-stream stages (splitting, sequence decoding, SIC reconstruction)
+// run under Do and DoRecover. Every helper here preserves a hard
+// determinism contract: callers pass closures that write only to
+// per-index (or per-range) state, so the observable result is
+// bit-identical whether the work runs on one goroutine or many. The
+// parallelism knobs lf.DecoderConfig.Parallelism
+// (decoder.Config.Parallelism, which edgedetect.Config.Parallelism
+// inherits) and experiment.Config.Workers resolve through this
+// package.
 package work
 
 import (

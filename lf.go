@@ -333,24 +333,19 @@ type DecoderConfig struct {
 	// field remains only while the benchmark's stage.pipelined_rt row
 	// sets it, and goes together with that row.
 	PipelineParallelism int
-	// ShardParallelism ≥ 2 runs the decode data-parallel across
-	// cores: the differential sweep — the pipeline's dominant
-	// per-sample stage — is split into seam-safe overlapping shards
-	// computed concurrently on a pull-based worker pool, with
-	// overlap derived from the pipeline's provably-final cut
-	// distances and deterministic in-order merge (DESIGN.md §15).
-	// Decodes are byte-identical to ShardParallelism = 1 at any
-	// shard count. Batch and streaming decodes both honour it, and SIC
-	// residual decodes inherit it. 0 or 1 disables sharding.
+	// ShardParallelism has no effect.
+	//
+	// Deprecated: the inline decoder, with its Parallelism fan-out, is
+	// the only way to run one decode. The field remains only while the
+	// benchmark's shard.sharded_rt row sets it, and goes together with
+	// that row.
 	ShardParallelism int
-	// StripeRunner, when non-nil and ShardParallelism ≥ 2, executes
-	// each sweep stripe of the sharded decode instead of the
-	// in-process kernel. This is the distribution seam: internal/dist
-	// installs its coordinator here to ship stripes to remote workers
-	// over TCP while the merge stays in-process and deterministic. The
-	// runner must fill job.Dst with exactly the bytes job.Run would
-	// produce, or return an error (which poisons that one stripe, not
-	// the decode). Most callers leave it nil.
+	// StripeRunner has no effect: the decoder never hands a sweep range
+	// to it.
+	//
+	// Deprecated: the inline decoder is the only way to run one decode.
+	// The field remains only while the benchmark's dist.loopback_rt row
+	// sets it, and goes together with that row.
 	StripeRunner func(*StripeJob) error
 	// StartWindowSeconds overrides how late after carrier-on a frame
 	// may begin (streams.Config.MaxStart). The default covers only the
@@ -463,9 +458,9 @@ type StreamResult = decoder.StreamResult
 // the failure is anchored at. Inspect with errors.As.
 type DecodeError = decoder.DecodeError
 
-// StripeJob is one self-contained sweep stripe of the sharded decode,
-// handed to DecoderConfig.StripeRunner when distribution is hooked in
-// (see internal/dist). Run computes it in-process.
+// StripeJob is one self-contained range of the differential sweep, the
+// unit internal/dist ships to remote workers. Run computes it
+// in-process.
 type StripeJob = edgedetect.StripeJob
 
 // DecodeStage names the pipeline stage a DecodeError originated in.
@@ -516,8 +511,6 @@ func NewDecoder(cfg DecoderConfig) (*Decoder, error) {
 		dc.Streams.MaxStart = int64(cfg.StartWindowSeconds * cfg.SampleRate)
 	}
 	dc.Parallelism = cfg.Parallelism
-	dc.ShardParallelism = cfg.ShardParallelism
-	dc.StripeRunner = cfg.StripeRunner
 	dc.CalibSamples = cfg.CalibSamples
 	dc.ViterbiWindow = cfg.ViterbiWindow
 	dc.ForceFullResidual = cfg.ForceFullResidual

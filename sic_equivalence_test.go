@@ -1,11 +1,13 @@
 package lf_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"lf"
 	"lf/internal/fault"
+	"lf/internal/work"
 )
 
 // sicPair decodes the same samples with the incremental dirty-span SIC
@@ -74,11 +76,10 @@ func TestSICIncrementalMatchesFullResidual(t *testing.T) {
 
 // TestSICEquivalenceComposition pins that the incremental mechanics
 // compose with every execution shape the decoder offers — push block
-// size (single-sample pushes included) and shard-parallel edge
-// detection — and that the incremental result is invariant across all
-// of those cells: the decode is a pure
-// function of the sample sequence, so reshaping who computes what must
-// change nothing.
+// size (single-sample pushes included) and the worker fan-out of the
+// sweep — and that the incremental result is invariant across all of
+// those cells: the decode is a pure function of the sample sequence,
+// so reshaping who computes what must change nothing.
 func TestSICEquivalenceComposition(t *testing.T) {
 	ep, cfg := buildEpoch(t, 8, 21)
 	cfg.CalibSamples = 32768
@@ -103,26 +104,28 @@ func TestSICEquivalenceComposition(t *testing.T) {
 				}
 			}
 			whole := len(tc.samples) + 1
+			if len(tc.samples) < 2*work.MinChunk {
+				// A whole-capture push shorter than two chunks would
+				// leave the parallel cells below running serially.
+				t.Fatalf("capture of %d samples is too short to split the sweep", len(tc.samples))
+			}
 			check("block=1", rcfg, 1)
 			check("block=whole", rcfg, whole)
-			for _, shards := range []int{1, 8} {
-				scfg := rcfg
-				scfg.ShardParallelism = shards
-				check("shards", scfg, 4096)
-				check("shards+block=whole", scfg, whole)
+			for _, workers := range []int{1, 8} {
+				pcfg := rcfg
+				pcfg.Parallelism = workers
+				check(fmt.Sprintf("parallelism=%d", workers), pcfg, 4096)
+				check(fmt.Sprintf("parallelism=%d+block=whole", workers), pcfg, whole)
 			}
-			scfg := rcfg
-			scfg.ShardParallelism = 2
-			check("shards=2", scfg, 4096)
 			if testing.Short() {
 				return
 			}
 			// Rounds ladder on the composed shape: deeper rounds under
-			// shards must stay pairwise identical too.
+			// the widest fan-out must stay pairwise identical too.
 			for _, rounds := range []int{1, 3} {
 				dcfg := rcfg
 				dcfg.CancellationRounds = rounds
-				dcfg.ShardParallelism = 8
+				dcfg.Parallelism = 8
 				sicPair(t, "rounds-ladder", tc.samples, dcfg, 4096)
 			}
 		})

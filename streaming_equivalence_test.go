@@ -82,21 +82,16 @@ func TestStreamingMatchesBatchDeferredCalibration(t *testing.T) {
 // starts sliding, and (b) stays far below what buffering the pushed
 // samples would cost. Cancellation is disabled because SIC retains the
 // raw capture by design; everything else runs at defaults. The frames
-// must also surface through OnFrame long before Flush.
+// must also surface through OnFrame long before Flush. The serial
+// subtest is the decoder's one execution shape.
 func TestStreamingMemoryBounded(t *testing.T) {
-	// Serial and sharded must both hold the O(window) bound; the
-	// sharded run pins the accounting with in-flight stripe buffers on
-	// top and checks the shard pool's workers all exit at Flush.
-	t.Run("serial", func(t *testing.T) { testStreamingMemoryBounded(t, 0) })
-	t.Run("sharded", func(t *testing.T) { testStreamingMemoryBounded(t, 2) })
+	t.Run("serial", testStreamingMemoryBounded)
 }
 
-func testStreamingMemoryBounded(t *testing.T, shards int) {
-	before := runtime.NumGoroutine()
+func testStreamingMemoryBounded(t *testing.T) {
 	ep, cfg := buildEpoch(t, 2, 5)
 	cfg.CalibSamples = 32768
 	cfg.CancellationRounds = -1
-	cfg.ShardParallelism = shards
 	framesBeforeFlush := 0
 	cfg.OnFrame = func(*lf.StreamResult) { framesBeforeFlush++ }
 
@@ -148,13 +143,62 @@ func testStreamingMemoryBounded(t *testing.T, shards int) {
 	if atEnd > atDouble+1<<20 {
 		t.Fatalf("retained memory still growing in the tail: %d B at 2x capture, %d B at end", atDouble, atEnd)
 	}
-	// Shard goroutines must all have exited with Flush.
+}
+
+// TestStreamShutdown pins the streaming decoder's lifecycle, serial and
+// with the worker fan-out: a second Flush returns the same Result, Push
+// after Flush fails cleanly, and no goroutine outlives the decodes, so
+// repeated decodes do not accumulate goroutines.
+func TestStreamShutdown(t *testing.T) {
+	ep, cfg := buildEpoch(t, 2, 3)
+	cfg.CalibSamples = 32768
+	for _, workers := range []int{1, 4} {
+		cfg.Parallelism = workers
+		checkLifecycle(t, ep.Capture.Samples, cfg, fmt.Sprintf("parallelism=%d", workers))
+	}
+}
+
+// checkLifecycle runs four streaming decodes under cfg and fails t if a
+// decode finds no streams, a second Flush does not return the same
+// Result, Push after Flush succeeds, or goroutines outlive the decodes.
+func checkLifecycle(t *testing.T, samples []complex128, cfg lf.DecoderConfig, label string) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		dec, err := lf.NewDecoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd, err := dec.NewStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < len(samples); j += 8192 {
+			if err := sd.Push(samples[j:min(j+8192, len(samples))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := sd.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Streams) == 0 {
+			t.Fatalf("%s: decode found no streams", label)
+		}
+		again, err := sd.Flush()
+		if err != nil || again != res {
+			t.Fatalf("%s: second Flush = (%p, %v), want the same Result", label, again, err)
+		}
+		if err := sd.Push(samples[:16]); err == nil {
+			t.Fatalf("%s: Push after Flush succeeded", label)
+		}
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before {
 			break
 		} else if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before decode, %d after Flush", before, n)
+			t.Fatalf("%s: goroutines leaked: %d before, %d after decodes", label, before, n)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

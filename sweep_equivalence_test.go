@@ -10,12 +10,13 @@ import (
 )
 
 // TestSparseSweepMatchesDense holds the decoder to its one-sweep and
-// one-streaming-path contracts (DESIGN.md §12, §14): the deprecated
-// ForceDenseSweep and PipelineParallelism fields must select nothing,
-// so for fault-injected captures across every capture-level impairment
-// kind the default decode is byte-identical to the decode with both
-// set, batch and streaming; and batch equals streaming at block sizes
-// 1, 4096, and whole-capture.
+// one-decode-shape contracts (DESIGN.md §12, §14-§16): the deprecated
+// ForceDenseSweep, PipelineParallelism, ShardParallelism and
+// StripeRunner fields must select nothing — the runner is never even
+// called — so for fault-injected captures across every capture-level
+// impairment kind the default decode is byte-identical to the decode
+// with all four set, batch and streaming; and batch equals streaming at
+// block sizes 1, 4096, and whole-capture.
 // CalibSamples is set so streaming genuinely runs incrementally (the
 // calibration prefix ends mid-capture).
 func TestSparseSweepMatchesDense(t *testing.T) {
@@ -42,6 +43,11 @@ func TestSparseSweepMatchesDense(t *testing.T) {
 				dcfg := cfg
 				dcfg.ForceDenseSweep = true
 				dcfg.PipelineParallelism = 2
+				dcfg.ShardParallelism = 4
+				dcfg.StripeRunner = func(*lf.StripeJob) error {
+					t.Error("the deprecated StripeRunner was called")
+					return nil
+				}
 				deprecated := decodeWith(t, ep2, dcfg, 0)
 				batch := decodeWith(t, ep2, cfg, 0)
 				if !reflect.DeepEqual(deprecated, batch) {
