@@ -46,7 +46,8 @@ benchguard:
 	$(GO) run ./cmd/lfbench -benchguard BENCH_streaming_decode.json
 
 # Native Go fuzzing of the adversarial-input surfaces: the LFIQ
-# container parser and the streaming decode pipeline. FUZZTIME bounds
+# container parser and the streaming decode pipeline, plus the DSP
+# kernel contracts (prefix repair, the screened sweep's skip bound). FUZZTIME bounds
 # each target's budget (default 30s; raise for a soak run).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBlockReader -fuzztime $(FUZZTIME) ./internal/iq
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzGateFrame -fuzztime $(FUZZTIME) ./internal/gate
 	$(GO) test -run '^$$' -fuzz FuzzPrefixRepair -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz FuzzScreenSound -fuzztime $(FUZZTIME) ./internal/dsp
 
 # Short-budget fuzz pass for CI: enough executions to catch decode-path
 # panics on adversarial input without stalling the gate.
@@ -62,11 +64,12 @@ fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=5s
 
 # Kernel-equivalence smoke: the direct unit equivalence suites for the
-# SoA sweep kernels, quickselect median, and windowed NMS (DESIGN.md
-# §12), plus a short fuzz of the sparse reference kernel the benchmark
-# still times (dsp.sweep_sparse_ns_per_sample).
+# SoA sweep kernels, the screened sweep's DiffAt identity and skip
+# bound, quickselect median, and windowed NMS (DESIGN.md §12), plus a
+# short fuzz of the sparse reference kernel the benchmark still times
+# (dsp.sweep_sparse_ns_per_sample).
 kernel-smoke:
-	$(GO) test -run 'TestPrefixSoA|TestDiffSweep|TestMedianFloat|TestSuppress' ./internal/dsp
+	$(GO) test -run 'TestPrefixSoA|TestDiffSweep|TestDiffAt|TestScreen|TestMedianFloat|TestSuppress' ./internal/dsp
 	$(GO) test -run '^$$' -fuzz FuzzDiffSweepSparse -fuzztime 5s ./internal/dsp
 
 # Observability smoke: the golden-trace corpus (batch + streaming,

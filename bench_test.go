@@ -205,6 +205,40 @@ func BenchmarkEdgeDetection(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamDetect measures the incremental detector (NewStream,
+// Push, Close) on a slotted SIC bench window, ~90% quiet carrier, with
+// the streaming decoders' 32768-position calibration window, pushed
+// whole (as batch DecodeCapture does) and in 8192-sample blocks.
+func BenchmarkStreamDetect(b *testing.B) {
+	ep, _, err := experiment.SICBenchEpoch(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples := ep.Capture.Samples
+	for _, block := range []int{len(samples), 8192} {
+		b.Run(fmt.Sprintf("block=%d", block), func(b *testing.B) {
+			b.SetBytes(int64(16 * len(samples)))
+			for i := 0; i < b.N; i++ {
+				s, err := edgedetect.NewStream(edgedetect.StreamConfig{
+					Config: edgedetect.DefaultConfig(), CalibSamples: 32768,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for lo := 0; lo < len(samples); lo += block {
+					if err := s.Push(samples[lo:min(lo+block, len(samples))]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+				s.Release()
+			}
+		})
+	}
+}
+
 // BenchmarkViterbi measures the 4-state sequence decoder.
 func BenchmarkViterbi(b *testing.B) {
 	src := rng.New(1)

@@ -144,6 +144,84 @@ func DiffSweep(re, im []float64, j0 int, gap, win int64, dst []float64) {
 	}
 }
 
+// DiffAt is DiffSweep's value at the single interior prefix index j,
+// computed with the same operations in the same order, so it is bitwise
+// equal to the DiffSweep output for that position.
+func DiffAt(re, im []float64, j int, gap, win int64) float64 {
+	g, w := int(gap), int(win)
+	fw := float64(win)
+	dr := (re[j+g+w]-re[j+g])/fw - (re[j-g]-re[j-g-w])/fw
+	di := (im[j+g+w]-im[j+g])/fw - (im[j-g]-im[j-g-w])/fw
+	return math.Hypot(dr, di)
+}
+
+// DiffSweepScreen is DiffSweep's cheap screen: over the same interior
+// positions and the same windowed sums Ta = aHi−aLo, Tb = bHi−bLo
+// (real) and Ua, Ub (imaginary), it writes S = (Ta−Tb)² + (Ua−Ub)² —
+// the squared, undivided differential, with no divides and no Hypot —
+// or +Inf where |Ta|+|Tb|+|Ua|+|Ub| exceeds eMax. Together with
+// ScreenBounds it proves a position below threshold without computing
+// its exact value; see ScreenBounds for the bound.
+func DiffSweepScreen(re, im []float64, j0 int, gap, win int64, eMax float64, dst []float64) {
+	g, w := int(gap), int(win)
+	n := len(dst)
+	if n == 0 {
+		return
+	}
+	aHiR := re[j0+g+w:][:n]
+	aLoR := re[j0+g:][:n]
+	bHiR := re[j0-g:][:n]
+	bLoR := re[j0-g-w:][:n]
+	aHiI := im[j0+g+w:][:n]
+	aLoI := im[j0+g:][:n]
+	bHiI := im[j0-g:][:n]
+	bLoI := im[j0-g-w:][:n]
+	inf := math.Inf(1)
+	for i := 0; i < n; i++ {
+		ta := aHiR[i] - aLoR[i]
+		tb := bHiR[i] - bLoR[i]
+		ua := aHiI[i] - aLoI[i]
+		ub := bHiI[i] - bLoI[i]
+		dr, di := ta-tb, ua-ub
+		s := dr*dr + di*di
+		if math.Abs(ta)+math.Abs(tb)+math.Abs(ua)+math.Abs(ub) > eMax {
+			s = inf
+		}
+		dst[i] = s
+	}
+}
+
+// screenMinThreshold is the smallest threshold ScreenBounds screens
+// for: below it, underflow in the divides and squares could rival the
+// bound's slack, and the caller must compute every value exactly.
+const screenMinThreshold = 1e-140
+
+// ScreenBounds returns the limits under which a DiffSweepScreen value
+// proves the exact DiffSweep value at that position is below threshold
+// tau: a screen value S < limit implies DiffAt < tau. eMax is the
+// screen's argument; ok is false when tau lies outside the range the
+// proof covers (below screenMinThreshold, non-finite, or so large that
+// limit overflows), and then no value may be skipped.
+//
+// The proof, with u = 2⁻⁵³ and E = |Ta|+|Tb|+|Ua|+|Ub|: each exact
+// component (Ta/w) − (Tb/w) carries at most u·(|Ta|+|Tb|)/w from its
+// divides and a factor (1+u) from its subtraction; Go's Hypot
+// (p·√(1+(q/p)²), in Go and in the amd64 assembly alike) adds at most
+// (1+u)⁴; and the screen's own roundings give (Ta−Tb)²+(Ua−Ub)² ≤
+// S/(1−u)⁴. By Minkowski's inequality the exact value is then at most
+// (1+u)⁵/(1−u)²·(√S + u·E)/w < (1+8u)(√S + u·E)/w, plus an absolute
+// underflow term below 1e-160. S < limit = (tau·w)²·(1−4e-6) gives
+// √S < tau·w·(1−2e-6), and E ≤ eMax = tau·w·1e-6/u gives u·E ≤
+// tau·w·1e-6, so the exact value is below tau·(1−1e-6)(1+8u) plus that
+// term, which is below tau for every tau ≥ screenMinThreshold.
+func ScreenBounds(tau float64, win int64) (limit, eMax float64, ok bool) {
+	tw := tau * float64(win)
+	limit = tw * tw * (1 - 4e-6)
+	eMax = tw * 1e-6 / 0x1p-53
+	ok = tau >= screenMinThreshold && limit <= math.MaxFloat64
+	return limit, eMax, ok
+}
+
 // sparseBlock is the coarse-pass granularity of DiffSweepSparse.
 // Smaller blocks skip more aggressively around isolated edges; larger
 // blocks amortize the interval-bound test better. 64 positions sits

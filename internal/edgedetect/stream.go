@@ -130,6 +130,14 @@ type Stream struct {
 	floor      float64
 	threshold  float64
 
+	// Screened sweep (DESIGN.md §12): from position screenFrom on, mag
+	// holds dsp.DiffSweepScreen values instead of magnitudes (screenBlank
+	// where blanked), and exactAt recomputes the exact magnitude wherever
+	// one is read. screenFrom is math.MaxInt64 while the sweep is exact.
+	screenFrom  int64
+	screenLimit float64
+	screenEMax  float64
+
 	scanned  int64          // local-maximum scan is complete for positions < scanned
 	raw      []dsp.Peak     // raw maxima awaiting a safe NMS/coalesce cut
 	nms      dsp.Suppressor // reusable NMS scratch for suppressChunk
@@ -178,6 +186,13 @@ func (r Span) Len() int64 { return r.Hi - r.Lo }
 // magnitude below this.
 const maxSampleMag = 1e150
 
+// admitBits is maxSampleMag's IEEE-754 bit pattern, and signBit the
+// sign bit a magnitude's pattern clears (see inadmissible).
+const (
+	admitBits = 0x5f138d352e5096af
+	signBit   = 1 << 63
+)
+
 // MaxSampleMag exports the admission bound for callers that pre-fold
 // seeded prefix sums (the maxMag argument of dsp.RepairPrefix): a
 // seeded capture must contain no sample a Push would have replaced.
@@ -220,7 +235,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		}
 	}
 	s := &Stream{cfg: cfg.Config, calib: cfg.CalibSamples, workers: work.Resolve(cfg.Parallelism),
-		em: cfg.Metrics, meter: cfg.Meter}
+		em: cfg.Metrics, meter: cfg.Meter, screenFrom: math.MaxInt64}
 	if cfg.Seed != nil {
 		s.sumsRe, s.sumsIm = cfg.Seed.SumsRe, cfg.Seed.SumsIm
 		s.active = cfg.Seed.Active
@@ -236,6 +251,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		s.calibrated = true
 		s.floor = cfg.Calib.Floor
 		s.threshold = cfg.Calib.Threshold
+		s.startScreen()
 	}
 	s.mag = pool.Float(0)
 	return s, nil
@@ -263,6 +279,7 @@ func (s *Stream) Reset() {
 	s.mag = s.mag[:0]
 	s.magBase, s.magDone = 0, 0
 	s.calibrated, s.floor, s.threshold = false, 0, 0
+	s.screenFrom = math.MaxInt64
 	s.scanned = 0
 	s.raw, s.kept = s.raw[:0], s.kept[:0]
 	s.groups, s.ghead = s.groups[:0], 0
@@ -294,8 +311,49 @@ func (s *Stream) Push(block []complex128) error {
 	base := len(s.sumsRe)
 	s.sumsRe = extendFloats(s.sumsRe, len(block))
 	s.sumsIm = extendFloats(s.sumsIm, len(block))
-	re := s.sumsRe[base:]
-	im := s.sumsIm[base:]
+	re := s.sumsRe[base:][:len(block)]
+	im := s.sumsIm[base:][:len(block)]
+	// Admission is checked once per block: the OR of every sample's
+	// inadmissible bits has its sign bit set only if some sample fails
+	// sampleOK. Only a block that fails is re-accumulated sample by
+	// sample. (A fold of max(|re|, |im|) would say the same, but its
+	// NaN-propagating compare chain costs more than the per-sample check
+	// it replaces.)
+	accRe, accIm := s.accRe, s.accIm
+	var over uint64
+	for i, v := range block {
+		over |= inadmissible(v)
+		accRe += real(v)
+		accIm += imag(v)
+		re[i] = accRe
+		im[i] = accIm
+	}
+	if over&signBit == 0 {
+		s.accRe, s.accIm = accRe, accIm
+		if len(block) > 0 {
+			s.lastFinite = block[len(block)-1]
+		}
+	} else {
+		s.pushChecked(block, re, im)
+	}
+	s.front += int64(len(block))
+	s.advance()
+	s.trim()
+	return nil
+}
+
+// inadmissible has its sign bit set exactly when v fails sampleOK. A
+// component passes when its magnitude bits (sign cleared) are below
+// admitBits, since IEEE magnitudes order like their bit patterns and
+// every NaN sits above +Inf; admitBits−1−bits is then non-negative.
+func inadmissible(v complex128) uint64 {
+	return (admitBits - 1 - math.Float64bits(real(v))&^signBit) |
+		(admitBits - 1 - math.Float64bits(imag(v))&^signBit)
+}
+
+// pushChecked accumulates a block holding inadmissible samples: each
+// one is recorded as dropped and replaced with the last finite sample.
+func (s *Stream) pushChecked(block []complex128, re, im []float64) {
 	for i, v := range block {
 		if !sampleOK(v) {
 			s.noteDrop(s.front + int64(i))
@@ -309,10 +367,6 @@ func (s *Stream) Push(block []complex128) error {
 		re[i] = s.accRe
 		im[i] = s.accIm
 	}
-	s.front += int64(len(block))
-	s.advance()
-	s.trim()
-	return nil
 }
 
 // Close marks end of capture, drains every pending stage, and frees
@@ -477,7 +531,31 @@ func (s *Stream) meanRange(lo, hi int64) complex128 {
 	return complex((s.sumsRe[jhi]-s.sumsRe[jlo])/fn, (s.sumsIm[jhi]-s.sumsIm[jlo])/fn)
 }
 
-func (s *Stream) magAt(i int64) float64 { return s.mag[i-s.magBase] }
+// exactAt returns the exact differential magnitude at position i: the
+// stored value in the exact range, and past screenFrom 0 for a blanked
+// position or else the value recomputed from the prefix sums, bitwise
+// equal to what the exact sweep would have stored. The sums it reads
+// lie within SweepMargin of i, which trim retains for every position
+// the scan and centroiding read (DESIGN.md §12).
+func (s *Stream) exactAt(i int64) float64 {
+	m := s.mag[i-s.magBase]
+	if i < s.screenFrom {
+		return m
+	}
+	if m < 0 {
+		return 0
+	}
+	return dsp.DiffAt(s.sumsRe, s.sumsIm, int(i-s.sumBase), s.cfg.Gap, s.cfg.Win)
+}
+
+// startScreen switches the sweep to screening from the next position it
+// computes on, provided the threshold lies where dsp.ScreenBounds'
+// proof holds; otherwise the sweep stays exact.
+func (s *Stream) startScreen() {
+	if limit, eMax, ok := dsp.ScreenBounds(s.threshold, s.cfg.Win); ok {
+		s.screenFrom, s.screenLimit, s.screenEMax = s.magDone, limit, eMax
+	}
+}
 
 // sampleOK reports whether a sample may enter the prefix sums: finite
 // and small enough that no realistic capture length can overflow the
@@ -510,14 +588,14 @@ func (s *Stream) noteDrop(pos int64) {
 // callers must not retain it across Push/Reset.
 func (s *Stream) Dropped() []Span { return s.dropSpans }
 
-// blankDropped zeroes the just-computed magnitudes [lo, hi) whose
+// blankDropped blanks the just-computed magnitudes [lo, hi) whose
 // differential windows (±margin) touch a dropped span: the substituted
 // hold values would otherwise read as a phantom edge at the span
 // boundary. Spans are recorded before the magnitudes their windows
 // cover are computed (a drop at p affects positions ≥ p−margin, none
 // of which can be final before p is pushed), so blanking each chunk as
 // it is computed covers every affected position at any block size.
-func (s *Stream) blankDropped(lo, hi, margin int64) {
+func (s *Stream) blankDropped(lo, hi, margin int64, blank float64) {
 	for _, sp := range s.dropSpans {
 		blo, bhi := sp.Lo-margin, sp.Hi+margin
 		if blo < lo {
@@ -527,7 +605,7 @@ func (s *Stream) blankDropped(lo, hi, margin int64) {
 			bhi = hi
 		}
 		for p := blo; p < bhi; p++ {
-			s.mag[p-s.magBase] = 0
+			s.mag[p-s.magBase] = blank
 		}
 	}
 }
@@ -548,99 +626,23 @@ func (s *Stream) futureFirstMin() int64 {
 // permit: magnitude extension, calibration, local-maximum scan, safe
 // NMS/coalesce cuts, and group refinement.
 func (s *Stream) advance() {
-	g, w := s.cfg.Gap, s.cfg.Win
-	margin := SweepMargin(g, w)
-
 	// 1. Differential magnitudes. A position's windows span ±(Gap+Win),
-	// so pre-Close only positions below front−margin are computable;
-	// margins at both capture ends are blanked exactly as in the batch
-	// detector (clamped half-windows would read as phantom edges).
-	hi := s.front - margin
+	// so pre-Close only positions below front−margin are computable.
+	// Before calibration the sweep stops at the calibration window, so a
+	// push that crosses it calibrates first and screens everything past.
+	hi := s.front - SweepMargin(s.cfg.Gap, s.cfg.Win)
 	if s.eof {
 		hi = s.total
 	}
-	if hi > s.magDone {
-		lo := s.magDone
-		count := int(hi - lo)
-		s.mag = extendFloats(s.mag, count)
-		intLo, intHi := margin, s.limit()-margin
-		sweepChunk := func(plo, phi int64) {
-			sweepRange(s.mag[plo-s.magBase:phi-s.magBase], s.sumsRe, s.sumsIm, s.sumBase,
-				plo, phi, intLo, intHi, g, w)
-		}
-		if s.active == nil {
-			s.meter.DoRanges(s.workers, count, func(clo, chi int) {
-				sweepChunk(lo+int64(clo), lo+int64(chi))
-			})
-		} else {
-			// Masked sweep: the kernel runs only over the active spans (a
-			// seeded stream sweeps once, at Close, so this branch runs once
-			// with lo = 0). Positions outside the spans are don't-care, and
-			// the only reads that stray past a span boundary are the scan's
-			// neighbour probes (±1) and centroiding (±(Gap+2)) at in-span
-			// peaks — so zeroing a Gap+3 margin around each span makes
-			// every out-of-mask read deterministic without an O(capture)
-			// clear; beyond the margins the buffer keeps whatever the pool
-			// held, unread.
-			zpad := g + 3
-			for _, r := range s.active {
-				mlo, mhi := max(r.Lo-zpad, lo), min(r.Lo, hi)
-				for p := mlo; p < mhi; p++ {
-					s.mag[p-s.magBase] = 0
-				}
-				mlo, mhi = max(r.Hi, lo), min(r.Hi+zpad, hi)
-				for p := mlo; p < mhi; p++ {
-					s.mag[p-s.magBase] = 0
-				}
-			}
-			for _, r := range s.active {
-				rlo, rhi := max(r.Lo, lo), min(r.Hi, hi)
-				if rlo >= rhi {
-					continue
-				}
-				s.meter.DoRanges(s.workers, int(rhi-rlo), func(clo, chi int) {
-					sweepChunk(rlo+int64(clo), rlo+int64(chi))
-				})
-			}
-		}
-		if len(s.dropSpans) > 0 {
-			s.blankDropped(lo, hi, margin)
-		}
-		s.magDone = hi
+	if !s.calibrated && s.calib > 0 && hi > s.calib {
+		s.sweepTo(s.calib)
+		s.calibrate()
 	}
+	s.sweepTo(hi)
 
-	// 2. Calibration: fix the threshold over the configured prefix, or
-	// over the whole series at Close when CalibSamples is 0.
-	if !s.calibrated {
-		calibN := int64(-1)
-		switch {
-		case s.calib > 0 && s.magDone >= s.calib:
-			calibN = s.calib
-		case s.eof:
-			calibN = s.magDone
-			if s.calib > 0 && s.calib < calibN {
-				calibN = s.calib
-			}
-		}
-		if calibN < 0 {
-			return
-		}
-		window := s.mag[:calibN-s.magBase]
-		s.floor = dsp.NoiseFloor(window)
-		s.threshold = s.floor * s.cfg.ThresholdFactor
-		// Guard against a (near-)noiseless capture, as in the batch
-		// detector: a hard floor at a small fraction of the strongest
-		// differential seen in the calibration window.
-		var maxMag float64
-		for _, v := range window {
-			if v > maxMag {
-				maxMag = v
-			}
-		}
-		if min := 0.05 * maxMag; s.threshold < min {
-			s.threshold = min
-		}
-		s.calibrated = true
+	// 2. Calibration.
+	if !s.calibrated && !s.calibrate() {
+		return
 	}
 
 	// 3. Local-maximum scan. Serial by construction (it is a trivial
@@ -652,35 +654,17 @@ func (s *Stream) advance() {
 		scanHi = s.total
 	}
 	if scanHi > s.scanned {
-		limit := s.limit()
 		rawBefore := len(s.raw)
-		scanRange := func(slo, shi int64) {
-			for i := slo; i < shi; i++ {
-				v := s.magAt(i)
-				if v < s.threshold {
-					continue
-				}
-				if i > 0 && s.magAt(i-1) > v {
-					continue
-				}
-				if i+1 < limit && s.magAt(i+1) > v {
-					continue
-				}
-				if i > 0 && s.magAt(i-1) == v {
-					continue // plateau continuation
-				}
-				s.raw = append(s.raw, dsp.Peak{Pos: i, Value: v})
-			}
-		}
 		if s.active == nil {
-			scanRange(s.scanned, scanHi)
+			s.scanRange(s.scanned, scanHi)
 		} else {
-			// Masked scan: positions outside the active spans hold
-			// don't-care zeros below the (positive, preset) threshold, so
-			// skipping them takes the same branch the full scan would.
+			// Masked scan: positions outside the active spans are
+			// don't-care (SweepSeed.Active), so only the spans are
+			// scanned; the neighbour and centroid reads that cross a span
+			// edge land in its blanked pad.
 			for _, r := range s.active {
 				if rlo, rhi := max(r.Lo, s.scanned), min(r.Hi, scanHi); rlo < rhi {
-					scanRange(rlo, rhi)
+					s.scanRange(rlo, rhi)
 				}
 			}
 		}
@@ -690,6 +674,151 @@ func (s *Stream) advance() {
 
 	s.flushPeaks()
 	s.finalizeGroups()
+}
+
+// sweepTo extends the magnitude series to position hi. Margins at both
+// capture ends are blanked exactly as in the batch detector (clamped
+// half-windows would read as phantom edges). A call never straddles
+// screenFrom: the sweep stops at the calibration window until the
+// threshold, and with it the screen, is fixed.
+func (s *Stream) sweepTo(hi int64) {
+	if hi <= s.magDone {
+		return
+	}
+	g, w := s.cfg.Gap, s.cfg.Win
+	margin := SweepMargin(g, w)
+	lo := s.magDone
+	count := int(hi - lo)
+	s.mag = extendFloats(s.mag, count)
+	screen := lo >= s.screenFrom
+	blank := 0.0
+	if screen {
+		blank = screenBlank
+	}
+	intLo, intHi := margin, s.limit()-margin
+	sweepChunk := func(plo, phi int64) {
+		sweepRange(s.mag[plo-s.magBase:phi-s.magBase], s.sumsRe, s.sumsIm, s.sumBase,
+			plo, phi, intLo, intHi, g, w, screen, s.screenEMax)
+	}
+	if s.active == nil {
+		s.meter.DoRanges(s.workers, count, func(clo, chi int) {
+			sweepChunk(lo+int64(clo), lo+int64(chi))
+		})
+	} else {
+		// Masked sweep: the kernel runs only over the active spans (a
+		// seeded stream sweeps once, at Close, so this branch runs once
+		// with lo = 0). Positions outside the spans are don't-care, and
+		// the only reads that stray past a span boundary are the scan's
+		// neighbour probes (±1) and centroiding (±(Gap+2)) at in-span
+		// peaks — so blanking a Gap+3 margin around each span makes
+		// every out-of-mask read deterministic without an O(capture)
+		// clear; beyond the margins the buffer keeps whatever the pool
+		// held, unread.
+		zpad := g + 3
+		for _, r := range s.active {
+			mlo, mhi := max(r.Lo-zpad, lo), min(r.Lo, hi)
+			for p := mlo; p < mhi; p++ {
+				s.mag[p-s.magBase] = blank
+			}
+			mlo, mhi = max(r.Hi, lo), min(r.Hi+zpad, hi)
+			for p := mlo; p < mhi; p++ {
+				s.mag[p-s.magBase] = blank
+			}
+		}
+		for _, r := range s.active {
+			rlo, rhi := max(r.Lo, lo), min(r.Hi, hi)
+			if rlo >= rhi {
+				continue
+			}
+			s.meter.DoRanges(s.workers, int(rhi-rlo), func(clo, chi int) {
+				sweepChunk(rlo+int64(clo), rlo+int64(chi))
+			})
+		}
+	}
+	if len(s.dropSpans) > 0 {
+		s.blankDropped(lo, hi, margin, blank)
+	}
+	s.magDone = hi
+}
+
+// calibrate fixes the threshold over the configured prefix, or over the
+// whole series at Close when CalibSamples is 0, then starts the screen.
+// It reports whether the stream is calibrated.
+func (s *Stream) calibrate() bool {
+	calibN := int64(-1)
+	switch {
+	case s.calib > 0 && s.magDone >= s.calib:
+		calibN = s.calib
+	case s.eof:
+		calibN = s.magDone
+		if s.calib > 0 && s.calib < calibN {
+			calibN = s.calib
+		}
+	}
+	if calibN < 0 {
+		return false
+	}
+	window := s.mag[:calibN-s.magBase]
+	s.floor = dsp.NoiseFloor(window)
+	s.threshold = s.floor * s.cfg.ThresholdFactor
+	// Guard against a (near-)noiseless capture, as in the batch
+	// detector: a hard floor at a small fraction of the strongest
+	// differential seen in the calibration window.
+	var maxMag float64
+	for _, v := range window {
+		if v > maxMag {
+			maxMag = v
+		}
+	}
+	if min := 0.05 * maxMag; s.threshold < min {
+		s.threshold = min
+	}
+	s.calibrated = true
+	s.startScreen()
+	return true
+}
+
+// scanRange appends the local maxima at or above threshold among
+// positions [lo, hi) to raw. A position whose stored value proves it
+// below threshold — the magnitude itself in the exact range, a screen
+// value under screenLimit past screenFrom — is skipped without further
+// reads; every comparison after that uses exact magnitudes.
+func (s *Stream) scanRange(lo, hi int64) {
+	limit := s.limit()
+	for lo < hi {
+		end, cut := min(hi, s.screenFrom), s.threshold
+		if lo >= s.screenFrom {
+			end, cut = hi, s.screenLimit
+		}
+		for k, m := range s.mag[lo-s.magBase : end-s.magBase] {
+			if !(m < cut) {
+				s.scanAt(lo+int64(k), limit)
+			}
+		}
+		lo = end
+	}
+}
+
+// scanAt appends position i to raw if its exact magnitude reaches the
+// threshold and is a local maximum (the first of a plateau).
+func (s *Stream) scanAt(i, limit int64) {
+	v := s.exactAt(i)
+	if v < s.threshold {
+		return
+	}
+	var prev float64
+	if i > 0 {
+		if prev = s.exactAt(i - 1); prev > v {
+			return
+		}
+	}
+	if i+1 < limit && s.exactAt(i+1) > v {
+		return
+	}
+	if i > 0 && prev == v {
+		return // plateau continuation
+	}
+	s.raw = append(s.raw, dsp.Peak{Pos: i, Value: v})
 }
 
 // flushPeaks runs non-maximum suppression, centroiding, and coalescing
@@ -769,7 +898,7 @@ func (s *Stream) centroid(peaks []dsp.Peak) {
 			if i < 0 || i >= limit {
 				continue
 			}
-			w := s.magAt(i) - s.floor
+			w := s.exactAt(i) - s.floor
 			if w <= 0 {
 				continue
 			}
@@ -895,11 +1024,16 @@ func (s *Stream) dropMag(keep int64) {
 }
 
 // extendFloats grows b by n entries without zeroing them (every caller
-// overwrites the extension) and without a temporary allocation.
+// overwrites the extension). A buffer that must grow is replaced by one
+// from the scratch pool with at least double the capacity, and the old
+// one is recycled.
 func extendFloats(b []float64, n int) []float64 {
 	need := len(b) + n
-	for cap(b) < need {
-		b = append(b[:cap(b)], 0)
+	if cap(b) < need {
+		nb := pool.FloatUninit(max(need, 2*cap(b)))
+		copy(nb, b)
+		pool.PutFloat(b)
+		b = nb
 	}
 	return b[:need]
 }

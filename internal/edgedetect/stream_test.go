@@ -1,6 +1,7 @@
 package edgedetect
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -143,4 +144,27 @@ func TestStreamLowWaterTrimsWindow(t *testing.T) {
 		t.Fatalf("retained window %d B not far below pushed %d B", peakTail, pushedBytes)
 	}
 	s.Release()
+}
+
+// TestBlockAdmissionMatchesSampleOK pins Push's per-block admission
+// test to sampleOK: admitBits is maxSampleMag's bit pattern, and
+// inadmissible flags exactly the samples sampleOK rejects, for values
+// on both sides of the bound, zeros, subnormals, infinities and NaNs.
+func TestBlockAdmissionMatchesSampleOK(t *testing.T) {
+	if admitBits != math.Float64bits(maxSampleMag) {
+		t.Fatalf("admitBits %#x, want %#x", uint64(admitBits), math.Float64bits(maxSampleMag))
+	}
+	vals := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1, -1,
+		maxSampleMag, -maxSampleMag,
+		math.Nextafter(maxSampleMag, 0), -math.Nextafter(maxSampleMag, 0),
+		math.Nextafter(maxSampleMag, math.Inf(1)), math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN()}
+	for _, re := range vals {
+		for _, im := range vals {
+			v := complex(re, im)
+			if got, want := inadmissible(v)&signBit == 0, sampleOK(v); got != want {
+				t.Errorf("(%v, %v): block admission %v, sampleOK %v", re, im, got, want)
+			}
+		}
+	}
 }

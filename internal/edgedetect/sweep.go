@@ -42,24 +42,39 @@ type StripeJob struct {
 
 // Run computes the job in-process.
 func (j *StripeJob) Run() {
-	sweepRange(j.Dst, j.Re, j.Im, j.Base, j.Lo, j.Hi, j.IntLo, j.IntHi, j.Gap, j.Win)
+	sweepRange(j.Dst, j.Re, j.Im, j.Base, j.Lo, j.Hi, j.IntLo, j.IntHi, j.Gap, j.Win, false, 0)
 }
+
+// screenBlank marks a blanked position in a screened magnitude range:
+// any negative value reads as exact 0 (Stream.exactAt), and stays below
+// every screen limit.
+const screenBlank = -1
 
 // sweepRange computes the differential magnitudes of positions
 // [lo, hi) into dst (dst[i] holds position lo+i), reading prefix sums
 // re/im whose index 0 is absolute position base. Positions outside the
-// interior [intLo, intHi) are blanked to zero, as clamped half-windows
-// there would read as phantom edges.
-func sweepRange(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w int64) {
+// interior [intLo, intHi) are blanked, as clamped half-windows there
+// would read as phantom edges. With screen set, interior positions get
+// dsp.DiffSweepScreen values for eMax instead of exact ones, and blanked
+// positions screenBlank instead of 0.
+func sweepRange(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w int64, screen bool, eMax float64) {
+	blank := 0.0
+	if screen {
+		blank = screenBlank
+	}
 	ilo := max(lo, intLo)
 	ihi := min(hi, intHi)
 	for p := lo; p < min(ilo, hi); p++ {
-		dst[p-lo] = 0
+		dst[p-lo] = blank
 	}
 	if ilo < ihi {
-		dsp.DiffSweep(re, im, int(ilo-base), g, w, dst[ilo-lo:ihi-lo])
+		if screen {
+			dsp.DiffSweepScreen(re, im, int(ilo-base), g, w, eMax, dst[ilo-lo:ihi-lo])
+		} else {
+			dsp.DiffSweep(re, im, int(ilo-base), g, w, dst[ilo-lo:ihi-lo])
+		}
 	}
 	for p := max(ihi, lo); p < hi; p++ {
-		dst[p-lo] = 0
+		dst[p-lo] = blank
 	}
 }

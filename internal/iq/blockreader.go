@@ -104,10 +104,14 @@ func (b *BlockReader) Read(dst []complex128) (int, error) {
 			}
 			return done, fmt.Errorf("iq: reading samples %d..%d: %w", b.read, b.read+int64(n), err)
 		}
-		for i := 0; i < n; i++ {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:]))
-			dst[done+i] = complex(re, im)
+		// One bounds check per sample: w is exactly 16 bytes, so both
+		// 8-byte loads from it are provably in range.
+		out := dst[done : done+n]
+		for i := range out {
+			w := raw[16*i : 16*i+16]
+			re := math.Float64frombits(binary.LittleEndian.Uint64(w))
+			im := math.Float64frombits(binary.LittleEndian.Uint64(w[8:]))
+			out[i] = complex(re, im)
 		}
 		done += n
 		b.read += int64(n)

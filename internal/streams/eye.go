@@ -593,7 +593,7 @@ func fitGenerator(edges []edgedetect.Edge, members []int, gens []complex128, tar
 // edges are forgiven more generously.
 func validateHead(edges []edgedetect.Edge, st *Stream, siblings []complex128, target int, shadowed bool, cfg Config) bool {
 	head := 0
-	memo := newLatticeMemo(len(edges))
+	memo := newLatticeMemo(len(edges), siblings[target])
 	for k := 0; k < cfg.PreambleLen; k++ {
 		expect := st.Offset + float64(k)*st.Period
 		tol := float64(cfg.PosTol) + 2 + float64(k)*st.Period*cfg.DriftPPM/1e6
@@ -626,18 +626,20 @@ func cancellable(gens []complex128, target int) bool {
 }
 
 // latticeMemo caches latticeFit results per edge index for one fixed
-// (gens, target) pair. The anchor scan and head validation re-test the
-// same edges at many overlapping scan positions, and each latticeFit
-// enumerates {−1,0,1}^n — caching the pure function's value is
-// bit-identical to recomputing it and removes the enumeration from all
-// repeat visits. NaN marks an uncomputed entry (latticeFit never
-// returns NaN for finite inputs: dsp.Dist of finite values is finite).
+// (gens, target) pair, along with |gens[target]|. The anchor scan and
+// head validation re-test the same edges at many overlapping scan
+// positions, and each latticeFit enumerates {−1,0,1}^n — caching the
+// pure function's value is bit-identical to recomputing it and removes
+// the enumeration from all repeat visits. NaN marks an uncomputed entry
+// (latticeFit never returns NaN for finite inputs: dsp.Dist of finite
+// values is finite).
 type latticeMemo struct {
 	with, without []float64
+	eAbs          float64
 }
 
-func newLatticeMemo(n int) *latticeMemo {
-	m := &latticeMemo{with: make([]float64, n), without: make([]float64, n)}
+func newLatticeMemo(n int, e complex128) *latticeMemo {
+	m := &latticeMemo{with: make([]float64, n), without: make([]float64, n), eAbs: dsp.Abs(e)}
 	for i := range m.with {
 		m.with[i] = math.NaN()
 	}
@@ -655,8 +657,12 @@ func newLatticeMemo(n int) *latticeMemo {
 // reduction heuristic fails. memo, when non-nil, must have been built
 // for this exact (edges, gens, target) triple.
 func eOccupied(edges []edgedetect.Edge, pos, tol float64, gens []complex128, target int, memo *latticeMemo) bool {
-	e := gens[target]
-	eAbs := dsp.Abs(e)
+	var eAbs float64
+	if memo != nil {
+		eAbs = memo.eAbs
+	} else {
+		eAbs = dsp.Abs(gens[target])
+	}
 	if eAbs == 0 {
 		return false
 	}
@@ -734,7 +740,7 @@ func AnchorFor(edges []edgedetect.Edge, offset, period float64, e complex128, cf
 func anchorScan(edges []edgedetect.Edge, offset, period float64, gens []complex128, target int, shadowed bool, cfg Config) float64 {
 	m := int(offset / period)
 	earliest := offset - float64(m)*period
-	memo := newLatticeMemo(len(edges))
+	memo := newLatticeMemo(len(edges), gens[target])
 	occ := func(pos float64, slotsAway int) bool {
 		// Tolerance grows with distance from the fit origin: clock
 		// drift accumulates per slot, which matters at slow rates
