@@ -67,10 +67,15 @@ fuzz-smoke:
 # SoA sweep kernels, the screened sweep's DiffAt identity and skip
 # bound, quickselect median, and windowed NMS (DESIGN.md §12), plus a
 # short fuzz of the sparse reference kernel the benchmark still times
-# (dsp.sweep_sparse_ns_per_sample).
+# (dsp.sweep_sparse_ns_per_sample); the frame-head scan's
+# branch-and-bound cut against the uncut scan (DESIGN.md §17); and the
+# LFIQ sample codec's little-endian fast path against the portable
+# path, truncation included.
 kernel-smoke:
 	$(GO) test -run 'TestPrefixSoA|TestDiffSweep|TestDiffAt|TestScreen|TestMedianFloat|TestSuppress' ./internal/dsp
 	$(GO) test -run '^$$' -fuzz FuzzDiffSweepSparse -fuzztime 5s ./internal/dsp
+	$(GO) test -run 'TestAnchorScanPruneExact' ./internal/streams
+	$(GO) test -run 'TestSampleCodec|TestBlockReaderTruncated' ./internal/iq
 
 # Observability smoke: the golden-trace corpus (batch + streaming,
 # byte-for-byte against testdata/golden/) and the metrics conservation

@@ -7,6 +7,7 @@ package lf_test
 // weight. Micro-benchmarks for the hot pipeline stages follow.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"lf/internal/edgedetect"
 	"lf/internal/experiment"
 	"lf/internal/rng"
+	"lf/internal/streams"
 	"lf/internal/viterbi"
 )
 
@@ -236,6 +238,68 @@ func BenchmarkStreamDetect(b *testing.B) {
 				s.Release()
 			}
 		})
+	}
+}
+
+// BenchmarkReadCapture measures LFIQ replay parsing: one 650k-sample
+// slotted SIC bench window read back from its serialised bytes with
+// lf.ReadCapture, as slotted replay does per window.
+func BenchmarkReadCapture(b *testing.B) {
+	ep, _, err := experiment.SICBenchEpoch(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := lf.WriteCapture(&buf, ep); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lf.ReadCapture(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnchorScan measures stream registration, whose frame-head
+// anchor scan dominates on mostly quiet captures, over the detector
+// edges of four slotted SIC bench windows (one op registers all four).
+func BenchmarkAnchorScan(b *testing.B) {
+	type window struct {
+		edges   []edgedetect.Edge
+		cfg     streams.Config
+		payload func(float64) int
+	}
+	var windows []window
+	for seed := int64(1); seed <= 4; seed++ {
+		ep, cfg, err := experiment.SICBenchEpoch(seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		det, err := edgedetect.NewStream(edgedetect.StreamConfig{Config: edgedetect.DefaultConfig(), CalibSamples: cfg.CalibSamples})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := det.Push(ep.Capture.Samples); err != nil {
+			b.Fatal(err)
+		}
+		if err := det.Close(); err != nil {
+			b.Fatal(err)
+		}
+		sc := streams.DefaultConfig(cfg.SampleRate, cfg.Rates)
+		sc.Registration = cfg.Registration
+		sc.MaxStart = int64(cfg.StartWindowSeconds * cfg.SampleRate)
+		windows = append(windows, window{det.Edges(), sc, cfg.PayloadBits})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range windows {
+			if _, err := streams.Register(w.edges, w.cfg, w.payload); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -31,9 +31,9 @@ func TestReadBlockPartialFinalBufferOwnership(t *testing.T) {
 	if _, err := ep.Capture.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Truncate mid-chunk and mid-sample: the final ReadBlock call finds
-	// one complete 4096-sample IO chunk plus a ragged tail, so it must
-	// return a partial block alongside the truncation error.
+	// Truncate mid-block and mid-sample: the final ReadBlock call finds
+	// 4196 whole samples plus half of one, so it must return a partial
+	// block alongside the truncation error.
 	const block = 8192
 	headerLen := buf.Len() - 16*len(samples)
 	keep := (len(samples)/block-1)*block + 4096 + 100

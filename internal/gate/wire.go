@@ -21,6 +21,7 @@ package gate
 import (
 	"io"
 
+	"lf/internal/iq"
 	"lf/internal/wire"
 )
 
@@ -161,20 +162,18 @@ func decodeWelcome(p []byte) (*wireWelcome, error) {
 // absolute offset of Samples[0] in the capture; the session contract
 // is strictly in-order, so Base must equal the session's current
 // high-water mark (the welcome frame told the reader where that is).
+// The samples are encoded as an LFIQ payload (iq.AppendSamples,
+// iq.GetSamples): one memory copy each way on little-endian hosts.
 type wireChunk struct {
 	Base    int64
 	Samples []complex128
 }
 
 func (c *wireChunk) encode() []byte {
-	e := wire.Enc{B: make([]byte, 0, 12+16*len(c.Samples))}
+	e := wire.Enc{B: make([]byte, 0, 12+iq.SampleSize*len(c.Samples))}
 	e.I64(c.Base)
 	e.U32(uint32(len(c.Samples)))
-	for _, s := range c.Samples {
-		e.F64(real(s))
-		e.F64(imag(s))
-	}
-	return e.B
+	return iq.AppendSamples(e.B, c.Samples)
 }
 
 func decodeChunk(p []byte) (*wireChunk, error) {
@@ -193,16 +192,11 @@ func decodeChunk(p []byte) (*wireChunk, error) {
 	// Bound the declared count against the remaining payload before
 	// allocating, so a corrupt count can neither read out of bounds nor
 	// allocate gigabytes.
-	if uint64(len(d.B)) != uint64(n)*16 {
+	if uint64(len(d.B)) != uint64(n)*iq.SampleSize {
 		return nil, wireErrf("chunk: %d samples but %d payload bytes", n, len(d.B))
 	}
 	c := &wireChunk{Base: base, Samples: make([]complex128, n)}
-	for i := range c.Samples {
-		c.Samples[i] = complex(d.F64(), d.F64())
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
+	iq.GetSamples(c.Samples, d.B)
 	return c, nil
 }
 

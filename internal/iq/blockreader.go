@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"lf/internal/pool"
 )
@@ -26,7 +25,7 @@ type BlockReader struct {
 	start  float64
 	count  int64
 	read   int64
-	buf    []byte
+	buf    []byte // portable-path staging block, taken on first use
 	closed bool
 }
 
@@ -64,7 +63,6 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 		return nil, fmt.Errorf("iq: implausible sample count %d", count)
 	}
 	b.count = int64(count)
-	b.buf = pool.Bytes(16 * ioChunkSamples)
 	return b, nil
 }
 
@@ -83,7 +81,8 @@ func (b *BlockReader) Remaining() int64 { return b.count - b.read }
 // Read fills dst with the next samples, io.Reader style: it returns
 // the number of samples decoded and io.EOF once the payload is
 // exhausted (never both a positive count and io.EOF). A truncated or
-// short payload surfaces as io.ErrUnexpectedEOF.
+// short payload surfaces as an error wrapping io.ErrUnexpectedEOF; on
+// any error dst[:n] holds every whole sample received before it.
 func (b *BlockReader) Read(dst []complex128) (int, error) {
 	if b.read >= b.count {
 		return 0, io.EOF
@@ -91,30 +90,39 @@ func (b *BlockReader) Read(dst []complex128) (int, error) {
 	if rem := b.count - b.read; int64(len(dst)) > rem {
 		dst = dst[:rem]
 	}
+	from := b.read
+	n, err := b.readSamples(dst)
+	b.read += int64(n)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return n, fmt.Errorf("iq: reading samples %d..%d: %w", from, from+int64(len(dst)), err)
+	}
+	return n, nil
+}
+
+// readSamples decodes the next len(dst) samples of the payload and
+// returns how many whole samples arrived, with the read error if the
+// payload fell short.
+func (b *BlockReader) readSamples(dst []complex128) (int, error) {
+	if v := sampleView(dst); v != nil {
+		// The payload is dst's memory layout: read it in place.
+		got, err := io.ReadFull(b.br, v)
+		return got / SampleSize, err
+	}
+	if b.buf == nil {
+		b.buf = pool.Bytes(SampleSize * ioChunkSamples)
+	}
 	done := 0
 	for done < len(dst) {
-		n := len(dst) - done
-		if n > ioChunkSamples {
-			n = ioChunkSamples
+		raw := b.buf[:SampleSize*min(len(dst)-done, ioChunkSamples)]
+		got, err := io.ReadFull(b.br, raw)
+		getSamplesPortable(dst[done:done+got/SampleSize], raw)
+		done += got / SampleSize
+		if err != nil {
+			return done, err
 		}
-		raw := b.buf[:16*n]
-		if _, err := io.ReadFull(b.br, raw); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return done, fmt.Errorf("iq: reading samples %d..%d: %w", b.read, b.read+int64(n), err)
-		}
-		// One bounds check per sample: w is exactly 16 bytes, so both
-		// 8-byte loads from it are provably in range.
-		out := dst[done : done+n]
-		for i := range out {
-			w := raw[16*i : 16*i+16]
-			re := math.Float64frombits(binary.LittleEndian.Uint64(w))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(w[8:]))
-			out[i] = complex(re, im)
-		}
-		done += n
-		b.read += int64(n)
 	}
 	return done, nil
 }

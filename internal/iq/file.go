@@ -13,13 +13,17 @@ package iq
 //	samples count × (real float64, imag float64), little endian
 //
 // Everything after the header streams sequentially, so arbitrarily
-// long captures read and write in O(1) memory per sample.
+// long captures read and write in O(1) memory per sample. The sample
+// payload is byte for byte the memory of a []complex128 on a
+// little-endian host, so there WriteTo writes the sample slice's own
+// memory and BlockReader.Read reads the payload straight into the
+// caller's slice; big-endian hosts take a portable per-sample loop
+// through a pooled staging block (samples.go).
 
 import (
 	"bufio"
 	"encoding/binary"
 	"io"
-	"math"
 
 	"lf/internal/pool"
 )
@@ -34,9 +38,14 @@ const fileVersion = 1
 // absurd buffers (16 GiB of samples ≈ 11 minutes at 25 Msps).
 const maxReasonableSamples = 1 << 30
 
-// ioChunkSamples is the number of samples marshalled per pooled IO
-// block (64 KiB of wire bytes). Batching keeps the per-sample cost at
-// a couple of stores instead of a reflective binary.Write round-trip.
+// maxUpfrontSamples bounds what ReadCapture allocates before any
+// payload arrives (16 MiB of samples). The header's count is untrusted
+// until the samples behind it are read, so a longer capture's array
+// grows by doubling as the payload keeps up.
+const maxUpfrontSamples = 1 << 20
+
+// ioChunkSamples is the number of samples the portable path marshals
+// per pooled IO block (64 KiB of wire bytes).
 const ioChunkSamples = 4096
 
 // WriteTo serializes the capture. It returns the number of bytes
@@ -72,20 +81,22 @@ func (c *Capture) WriteTo(w io.Writer) (int64, error) {
 	if err := write(uint64(len(c.Samples))); err != nil {
 		return n, err
 	}
-	// Samples stream out in pooled fixed-size blocks: marshal a chunk
-	// with direct little-endian stores, write it, recycle the buffer.
-	buf := pool.Bytes(16 * ioChunkSamples)
+	if v := sampleView(c.Samples); v != nil {
+		wrote, err := bw.Write(v)
+		n += int64(wrote)
+		if err != nil {
+			return n, err
+		}
+		return n, bw.Flush()
+	}
+	// Portable path: marshal pooled fixed-size blocks, write each,
+	// recycle the buffer.
+	buf := pool.Bytes(SampleSize * ioChunkSamples)
 	defer pool.PutBytes(buf)
 	for lo := 0; lo < len(c.Samples); lo += ioChunkSamples {
-		hi := lo + ioChunkSamples
-		if hi > len(c.Samples) {
-			hi = len(c.Samples)
-		}
-		b := buf[:16*(hi-lo)]
-		for i, s := range c.Samples[lo:hi] {
-			binary.LittleEndian.PutUint64(b[16*i:], math.Float64bits(real(s)))
-			binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(imag(s)))
-		}
+		hi := min(lo+ioChunkSamples, len(c.Samples))
+		b := buf[:SampleSize*(hi-lo)]
+		putSamplesPortable(b, c.Samples[lo:hi])
 		wrote, err := bw.Write(b)
 		n += int64(wrote)
 		if err != nil {
@@ -107,10 +118,18 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 	c := &Capture{
 		SampleRate: br.SampleRate(),
 		Start:      br.Start(),
-		Samples:    make([]complex128, br.Len()),
+		Samples:    make([]complex128, min(br.Len(), maxUpfrontSamples)),
 	}
-	if _, err := br.Read(c.Samples); err != nil {
-		return nil, err
+	for got := 0; ; {
+		n, err := br.Read(c.Samples[got:])
+		got += n
+		if err != nil {
+			return nil, err
+		}
+		if int64(got) == br.Len() {
+			break
+		}
+		c.Samples = append(c.Samples, make([]complex128, min(br.Len()-int64(got), int64(got)))...)
 	}
 	if err := c.ValidateStructure(); err != nil {
 		return nil, err

@@ -2,7 +2,10 @@ package iq
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -111,6 +114,54 @@ func TestReadCaptureRejectsHugeCount(t *testing.T) {
 	}
 }
 
+// TestReadCaptureTrustsCountOnlyAsPayloadArrives declares the largest
+// accepted count over a two-sample payload: ReadCapture must fail on
+// the short payload without first allocating the declared 16 GiB.
+func TestReadCaptureTrustsCountOnlyAsPayloadArrives(t *testing.T) {
+	var buf bytes.Buffer
+	c := &Capture{SampleRate: 1, Samples: []complex128{1, 2}}
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint64(data[24:], maxReasonableSamples)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCapture(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short payload: err %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*SampleSize*maxUpfrontSamples {
+		t.Fatalf("allocated %d bytes for a %d-byte container", grew, len(data))
+	}
+}
+
+// TestReadCaptureGrowsPastUpfrontBound round-trips a capture longer
+// than ReadCapture's up-front allocation.
+func TestReadCaptureGrowsPastUpfrontBound(t *testing.T) {
+	c := &Capture{SampleRate: 25e6, Samples: make([]complex128, 2*maxUpfrontSamples+5)}
+	for i := range c.Samples {
+		c.Samples[i] = complex(float64(i), -float64(i))
+	}
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCapture(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Samples) != len(c.Samples) {
+		t.Fatalf("read %d samples, want %d", len(got.Samples), len(c.Samples))
+	}
+	for i := range c.Samples {
+		if got.Samples[i] != c.Samples[i] {
+			t.Fatalf("sample %d: %v != %v", i, got.Samples[i], c.Samples[i])
+		}
+	}
+}
+
 func TestWriteToRejectsInvalid(t *testing.T) {
 	c := &Capture{} // empty
 	if _, err := c.WriteTo(&strings.Builder{}); err == nil {
@@ -174,8 +225,13 @@ func TestBlockReaderTruncatedPayload(t *testing.T) {
 	}
 	defer br.Close()
 	dst := make([]complex128, 64)
-	if _, err := br.Read(dst); err == nil {
-		t.Fatal("truncated payload read without error")
+	n, err := br.Read(dst)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated payload: err %v, want io.ErrUnexpectedEOF", err)
+	}
+	// A bulk read delivers every whole sample that arrived: 62 of 64.
+	if n != 62 {
+		t.Fatalf("truncated payload delivered %d samples, want 62", n)
 	}
 }
 

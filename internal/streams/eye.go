@@ -738,10 +738,27 @@ func AnchorFor(edges []edgedetect.Edge, offset, period float64, e complex128, cf
 // anchorScan is AnchorFor with the full sibling generator set, so the
 // occupancy test understands collided frame heads.
 func anchorScan(edges []edgedetect.Edge, offset, period float64, gens []complex128, target int, shadowed bool, cfg Config) float64 {
-	m := int(offset / period)
-	earliest := offset - float64(m)*period
+	missPenalty, minScore := headGate(gens, target, shadowed, cfg)
+	return scanHeads(edges, offset, period, missPenalty, minScore, cfg, headProbe(edges, period, gens, target, cfg))
+}
+
+// headGate returns the frame-head template's per-slot miss penalty and
+// acceptance score. When a near-antipodal sibling can swallow co-toggle
+// edges, missing preamble edges are expected and must not be
+// penalized.
+func headGate(gens []complex128, target int, shadowed bool, cfg Config) (missPenalty, minScore int) {
+	if shadowed || cancellable(gens, target) {
+		return 0, cfg.PreambleLen // half the preamble visible is convincing enough
+	}
+	return -2, 2 * (cfg.PreambleLen - 2)
+}
+
+// headProbe returns the template's occupancy probe: whether the slot
+// at pos, slotsAway periods from the candidate anchor, holds an edge
+// in which gens[target] participates.
+func headProbe(edges []edgedetect.Edge, period float64, gens []complex128, target int, cfg Config) func(pos float64, slotsAway int) bool {
 	memo := newLatticeMemo(len(edges), gens[target])
-	occ := func(pos float64, slotsAway int) bool {
+	return func(pos float64, slotsAway int) bool {
 		// Tolerance grows with distance from the fit origin: clock
 		// drift accumulates per slot, which matters at slow rates
 		// where one slot is tens of thousands of samples.
@@ -752,14 +769,16 @@ func anchorScan(edges []edgedetect.Edge, offset, period float64, gens []complex1
 		tol := float64(cfg.PosTol) + 2 + float64(away)*period*cfg.DriftPPM/1e6
 		return eOccupied(edges, pos, tol, gens, target, memo)
 	}
-	// When a near-antipodal sibling can swallow co-toggle edges,
-	// missing preamble edges are expected and must not be penalized.
-	missPenalty := -2
-	minScore := 2 * (cfg.PreambleLen - 2)
-	if shadowed || cancellable(gens, target) {
-		missPenalty = 0
-		minScore = cfg.PreambleLen // half the preamble visible is convincing enough
-	}
+}
+
+// scanHeads scores the frame-head template at every lattice position
+// from the earliest one congruent to offset up to cfg.MaxStart and
+// returns the first best-scoring position, or -1 when no position
+// reaches minScore. occ(pos, k) reports e-occupancy of the slot k
+// periods after the candidate anchor.
+func scanHeads(edges []edgedetect.Edge, offset, period float64, missPenalty, minScore int, cfg Config, occ func(pos float64, slotsAway int) bool) float64 {
+	m := int(offset / period)
+	earliest := offset - float64(m)*period
 	// A lattice position whose whole probe window holds no edge scores
 	// exactly PreambleLen*missPenalty+3 (every preamble slot misses,
 	// both silence slots and the delimiter land their bonus). When that
@@ -788,6 +807,7 @@ func anchorScan(edges []edgedetect.Edge, offset, period float64, gens []complex1
 		winHi = float64(cfg.PreambleLen)*period + tolMax + maxExtent
 	}
 	best, bestScore := offset, -1000
+scan:
 	for pos := earliest; pos <= float64(cfg.MaxStart); pos += period {
 		if canSkip {
 			i := sort.Search(len(edges), func(i int) bool {
@@ -808,12 +828,26 @@ func anchorScan(edges []edgedetect.Edge, offset, period float64, gens []complex1
 		// Score the frame-head template: PreambleLen e-occupied slots,
 		// silence in the two slots before (the tag had not powered
 		// up), and the empty delimiter slot after.
+		//
+		// Branch and bound: after each preamble probe the position can
+		// still gain at most 2 per preamble probe left plus 3 (the two
+		// silence bonuses and the delimiter bonus), whichever penalty
+		// regime is in force. Once that ceiling is at or below
+		// max(bestScore, minScore-1) the position can neither pass the
+		// strict improvement test below nor be returned (its score
+		// would stay under the gate), which is the empty-stretch
+		// argument above applied probe by probe; best, bestScore and the
+		// result are those of the exhaustive scan.
+		floor := max(bestScore, minScore-1)
 		score := 0
 		for k := 0; k < cfg.PreambleLen; k++ {
 			if occ(pos+float64(k)*period, k) {
 				score += 2
 			} else {
 				score += missPenalty
+			}
+			if score+2*(cfg.PreambleLen-1-k)+3 <= floor {
+				continue scan
 			}
 		}
 		for k := -2; k < 0; k++ {
@@ -828,6 +862,9 @@ func anchorScan(edges []edgedetect.Edge, offset, period float64, gens []complex1
 		}
 		if score > bestScore {
 			best, bestScore = pos, score
+			if score == 2*cfg.PreambleLen+3 {
+				break // a perfect head: no later position can beat it
+			}
 		}
 	}
 	if bestScore < minScore {
