@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race race-stream bench benchjson benchguard \
+.PHONY: all build vet test race race-stream bench \
 	fuzz fuzz-smoke kernel-smoke obs-smoke \
-	sic-smoke gate-smoke robustness-smoke lfperf-smoke profile \
+	sic-smoke gate-smoke robustness-smoke lfperf-smoke perf-compare profile \
 	ci clean
 
 all: build
@@ -32,18 +32,6 @@ race-stream:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
-
-# Machine-readable micro-benchmarks (ns/op, allocs/op, goodput,
-# streaming throughput/latency/window). Regenerates the committed
-# baseline; commit the result when a perf change is intentional.
-benchjson:
-	$(GO) run ./cmd/lfbench -benchjson BENCH_streaming_decode.json
-
-# Re-run the suite and fail on >15% ns/op or allocs/op regressions in
-# the gated hot-path stages (decode sweep, edgedetect sweep, streaming
-# decode) against the committed baseline.
-benchguard:
-	$(GO) run ./cmd/lfbench -benchguard BENCH_streaming_decode.json
 
 # Native Go fuzzing of the adversarial-input surfaces: the LFIQ
 # container parser and the streaming decode pipeline, plus the DSP
@@ -111,33 +99,41 @@ gate-smoke:
 robustness-smoke:
 	$(GO) run ./cmd/lfbench -exp robustness -quick -epochs 1
 
-# Benchmark smoke: a 3 s traced run of each BENCHMARK.json workload
+# Benchmark smoke and decode-quality gate (scripts/lfperf-quality.sh):
+# a 3 s traced and a 3 s end-to-end run of each BENCHMARK.json workload
 # through lfperf/run.sh, which builds the benchmark from this checkout.
-# The last output line must report "correct":true — every decode
-# scored, every A/B variant byte-identical to the shipped decode — and
-# "failed":0. About 30 s on 2 CPUs.
+# Each last line must report "correct":true and "failed":0; the
+# end-to-end run's goodput_kbps, ber and frame_error_rate must equal
+# testdata/lfperf_quality.tsv exactly, and peak_retained_mb stay within
+# its BENCHMARK.json bound. About 45 s on 2 CPUs.
 LFPERF_WORKLOADS = dense16_stream slotted_replay gateway_loopback
 
 lfperf-smoke:
-	@for w in $(LFPERF_WORKLOADS); do \
-		out=$$(bash lfperf/run.sh --workload $$w --seed 1 --seconds 3 --trace 1) || exit 1; \
-		last=$$(printf '%s\n' "$$out" | tail -n 1); \
-		if printf '%s' "$$last" | grep -q '"correct":true' && \
-			printf '%s' "$$last" | grep -Eq '"failed":0[,}]'; then \
-			echo "lfperf-smoke: $$w ok"; \
-		else \
-			echo "lfperf-smoke: $$w failed: $$(printf '%s' "$$last" | cut -c1-300)"; \
-			exit 1; \
-		fi; \
-	done
+	@bash scripts/lfperf-quality.sh $(LFPERF_WORKLOADS)
 
-# CPU + heap profiles of the micro-benchmark suite, for hunting the
-# next hot spot (`go tool pprof lfbench.cpu.prof`).
+# Timing comparison against a base revision, for citing before and
+# after numbers in a perf change: PAIRS alternating pairs of SECONDS-long
+# end-to-end runs per workload, medians held against the BENCHMARK.json
+# bounds (scripts/perf-compare.sh; needs jq). A local tool, not a ci
+# step: a committed timing baseline cannot be gated on a shared VM.
+PAIRS ?= 10
+SECONDS ?= 20
+
+perf-compare:
+	@test -n "$(BASE)" || { echo "usage: make perf-compare BASE=<rev> [PAIRS=10] [SECONDS=20]" >&2; exit 2; }
+	@bash scripts/perf-compare.sh $(BASE) $(PAIRS) $(SECONDS)
+
+# CPU + heap profiles of the root end-to-end and streaming decode
+# benchmarks, for hunting the next hot spot (`go tool pprof lf.test
+# lf.cpu.prof`).
 profile:
-	$(GO) run ./cmd/lfbench -benchjson /tmp/lfbench-profile.json \
-		-cpuprofile lfbench.cpu.prof -memprofile lfbench.mem.prof
+	$(GO) test -run '^$$' -bench 'EndToEndDecode|StreamingDecode' \
+		-cpuprofile lf.cpu.prof -memprofile lf.mem.prof .
 
-ci: vet build test race race-stream fuzz-smoke kernel-smoke obs-smoke sic-smoke gate-smoke robustness-smoke benchguard lfperf-smoke
+# The ci gate: vet, the test and race suites, the smokes, and
+# lfperf-smoke's decode-quality check. Timing is not gated here (see
+# perf-compare).
+ci: vet build test race race-stream fuzz-smoke kernel-smoke obs-smoke sic-smoke gate-smoke robustness-smoke lfperf-smoke
 
 clean:
 	$(GO) clean ./...

@@ -4,10 +4,13 @@
 //
 // Usage:
 //
-//	lfbench [-exp all|table1|fig1|fig2|fig4|fig5|fig8|fig9|fig10|fig11|fig12|table2|table3|fig13|fig14|sic|ablation]
-//	        [-seed N] [-epochs N] [-quick] [-workers N]
-//	        [-benchjson FILE] [-benchguard BASELINE]
+//	lfbench [-exp all|table1|fig1|fig2|fig4|fig5|fig8|fig9|fig10|fig11|fig12|table2|table3|fig13|fig14|
+//	             dynamics|reliable|streaming|sic|robustness|scalability|capacity|ablation]
+//	        [-seed N] [-epochs N] [-quick] [-workers N] [-format table|csv]
 //	        [-cpuprofile FILE] [-memprofile FILE]
+//
+// Performance is measured by the repository benchmark in lfperf/, not
+// here.
 package main
 
 import (
@@ -27,14 +30,12 @@ type runner struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1, fig1, fig2, fig4, fig5, fig8, fig9, fig10, fig11, fig12, table2, table3, fig13, fig14, dynamics, reliable, streaming, sic, robustness, ablation)")
+	exp := flag.String("exp", "all", "experiment to run (all, table1, fig1, fig2, fig4, fig5, fig8, fig9, fig10, fig11, fig12, table2, table3, fig13, fig14, dynamics, reliable, streaming, sic, robustness, scalability, capacity, ablation)")
 	seed := flag.Int64("seed", 1, "random seed")
 	epochs := flag.Int("epochs", 3, "epochs per measured point")
 	quick := flag.Bool("quick", false, "trim sweeps for a fast smoke run")
 	format := flag.String("format", "table", "output format: table or csv")
 	workers := flag.Int("workers", 0, "epoch-level parallelism (0 = all cores, 1 = serial); results are identical at any setting")
-	benchJSON := flag.String("benchjson", "", "run the micro-benchmark suite and write machine-readable results to this file instead of experiments")
-	benchGuard := flag.String("benchguard", "", "re-run the micro-benchmark suite and fail if the hot-path stages regressed >15% against this baseline JSON")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
@@ -67,22 +68,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "lfbench: memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "lfbench: benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote benchmark results to %s\n", *benchJSON)
-		return
-	}
-	if *benchGuard != "" {
-		if err := runBenchGuard(*benchGuard, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "lfbench: benchguard: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	cfg := experiment.Config{Seed: *seed, Epochs: *epochs, Quick: *quick, Workers: *workers}

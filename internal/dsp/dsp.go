@@ -1,8 +1,9 @@
 // Package dsp implements the signal-processing primitives the
-// LF-Backscatter reader pipeline is built from: O(1) windowed means via
+// LF-Backscatter edge detector is built from: O(1) windowed means via
 // prefix sums, IQ edge differentials (the ΔS(t) = S(t⁺) − S(t⁻) of the
-// paper's §3.1), threshold estimation, peak detection with non-maximum
-// suppression, and eye-pattern folding (§3.2).
+// paper's §3.1) and the sweep kernels that compute them, prefix-sum
+// repair for SIC residuals, median-based noise-floor estimation, and
+// non-maximum suppression of peaks.
 package dsp
 
 import (
@@ -84,15 +85,6 @@ func (p *Prefix) Differential(pos, gap, win int64) complex128 {
 	return after - before
 }
 
-// DifferentialSeries computes |Differential| at every sample position.
-// The result has the same length as the underlying series; positions
-// too close to the ends use clamped (shorter) windows.
-func (p *Prefix) DifferentialSeries(gap, win int64) []float64 {
-	out := make([]float64, p.n)
-	p.DifferentialSeriesInto(out, gap, win, 1)
-	return out
-}
-
 // DifferentialSeriesInto fills dst (which must have length p.Len())
 // with |Differential| at every sample position, fanning the work out
 // over at most `workers` goroutines (see work.Resolve for the knob
@@ -142,68 +134,6 @@ type Peak struct {
 	Pos int64
 	// Value is the magnitude at the maximum.
 	Value float64
-}
-
-// FindPeaks returns local maxima of mag that exceed threshold, with
-// non-maximum suppression: within any window of minSpacing samples only
-// the largest peak survives. Peaks are returned in increasing position.
-func FindPeaks(mag []float64, threshold float64, minSpacing int64) []Peak {
-	return FindPeaksParallel(mag, threshold, minSpacing, 1)
-}
-
-// FindPeaksParallel is FindPeaks with the local-maximum scan chunked
-// across at most `workers` goroutines. Each chunk reads its boundary
-// neighbours from the shared series, so a peak sitting exactly on a
-// chunk seam is classified exactly as in the serial scan — detected
-// once, by the chunk that owns its index. The final non-maximum
-// suppression runs globally over the (position-ordered) concatenation,
-// making the result bit-identical at any worker count.
-func FindPeaksParallel(mag []float64, threshold float64, minSpacing int64, workers int) []Peak {
-	if minSpacing < 1 {
-		minSpacing = 1
-	}
-	n := len(mag)
-	bounds := work.Bounds(workers, n)
-	if len(bounds) < 2 {
-		return nil
-	}
-	chunked := make([][]Peak, len(bounds)-1)
-	work.Do(work.Resolve(workers), len(bounds)-1, func(c int) {
-		chunked[c] = scanPeaks(mag, bounds[c], bounds[c+1], threshold)
-	})
-	var peaks []Peak
-	for _, ps := range chunked {
-		peaks = append(peaks, ps...)
-	}
-	return Suppress(peaks, minSpacing)
-}
-
-// scanPeaks finds the raw local maxima of mag with index in [lo, hi).
-// Neighbour comparisons read across the chunk boundary, so ownership
-// of a boundary peak is unambiguous: the chunk containing its index.
-func scanPeaks(mag []float64, lo, hi int, threshold float64) []Peak {
-	var peaks []Peak
-	n := len(mag)
-	for i := lo; i < hi; i++ {
-		v := mag[i]
-		if v < threshold {
-			continue
-		}
-		// Local maximum test against immediate neighbours. Plateaus
-		// keep their first sample (the subsequent suppression pass
-		// removes duplicates anyway).
-		if i > 0 && mag[i-1] > v {
-			continue
-		}
-		if i+1 < n && mag[i+1] > v {
-			continue
-		}
-		if i > 0 && mag[i-1] == v {
-			continue // plateau continuation
-		}
-		peaks = append(peaks, Peak{Pos: int64(i), Value: v})
-	}
-	return peaks
 }
 
 // Suppress applies greedy non-maximum suppression: peaks are visited in
@@ -348,76 +278,6 @@ func (sp *Suppressor) Suppress(dst, chunk []Peak, minSpacing int64) []Peak {
 // callers that account their window state (the streaming detector).
 func (sp *Suppressor) RetainedBytes() int64 {
 	return int64(len(sp.byValue)) * 16
-}
-
-// EyeHistogram folds a set of edge positions modulo period into bins
-// phase buckets and returns the per-bucket counts. This is the paper's
-// eye-pattern construction: a genuine stream at the folded rate piles
-// all of its edges into one bucket (±jitter), while noise spreads
-// uniformly.
-func EyeHistogram(positions []int64, period float64, bins int) []int {
-	counts := make([]int, bins)
-	if period <= 0 || bins <= 0 {
-		return counts
-	}
-	for _, pos := range positions {
-		phase := math.Mod(float64(pos), period)
-		if phase < 0 {
-			phase += period
-		}
-		b := int(phase / period * float64(bins))
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
-// EyePeak returns the index and count of the largest bucket of an eye
-// histogram, plus the mean count of the remaining buckets (the
-// background level against which the peak's significance is judged).
-func EyePeak(counts []int) (bin, peak int, background float64) {
-	if len(counts) == 0 {
-		return 0, 0, 0
-	}
-	bin = 0
-	peak = counts[0]
-	total := 0
-	for i, c := range counts {
-		total += c
-		if c > peak {
-			peak, bin = c, i
-		}
-	}
-	if len(counts) > 1 {
-		background = float64(total-peak) / float64(len(counts)-1)
-	}
-	return bin, peak, background
-}
-
-// FoldedMean folds samples at positions pos+k·period (k = 0..reps-1)
-// from series and returns their average. Repetitive folding averages
-// the per-edge noise σ down by √reps, which is why the paper's eye
-// pattern detects weak streams reliably.
-func FoldedMean(series []float64, pos int64, period float64, reps int) float64 {
-	if reps <= 0 {
-		return 0
-	}
-	var sum float64
-	n := 0
-	for k := 0; k < reps; k++ {
-		idx := pos + int64(math.Round(float64(k)*period))
-		if idx < 0 || idx >= int64(len(series)) {
-			continue
-		}
-		sum += series[idx]
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // Abs returns |x| for a complex value (hypot of the parts).

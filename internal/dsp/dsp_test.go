@@ -71,7 +71,8 @@ func TestDifferentialSeriesPeaksAtStep(t *testing.T) {
 		samples[i] = 1
 	}
 	p := NewPrefix(samples)
-	mag := p.DifferentialSeries(2, 4)
+	mag := make([]float64, p.Len())
+	p.DifferentialSeriesInto(mag, 2, 4, 1)
 	best := 0
 	for i, v := range mag {
 		if v > mag[best] {
@@ -98,87 +99,6 @@ func TestMedianFloat(t *testing.T) {
 	MedianFloat(in)
 	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
 		t.Fatal("MedianFloat mutated its input")
-	}
-}
-
-func TestFindPeaksThreshold(t *testing.T) {
-	mag := []float64{0, 0, 5, 0, 0, 3, 0, 0}
-	peaks := FindPeaks(mag, 4, 1)
-	if len(peaks) != 1 || peaks[0].Pos != 2 {
-		t.Fatalf("peaks = %+v", peaks)
-	}
-}
-
-func TestFindPeaksNMS(t *testing.T) {
-	mag := []float64{0, 5, 0, 4, 0, 0, 0, 6, 0}
-	peaks := FindPeaks(mag, 1, 4)
-	// 5 at pos 1 and 4 at pos 3 are within 4 samples: keep the larger.
-	if len(peaks) != 2 {
-		t.Fatalf("peaks = %+v, want 2 after suppression", peaks)
-	}
-	if peaks[0].Pos != 1 || peaks[1].Pos != 7 {
-		t.Fatalf("peaks = %+v", peaks)
-	}
-}
-
-func TestFindPeaksSortedByPosition(t *testing.T) {
-	mag := make([]float64, 100)
-	mag[10], mag[40], mag[80] = 3, 9, 5
-	peaks := FindPeaks(mag, 1, 5)
-	for i := 1; i < len(peaks); i++ {
-		if peaks[i].Pos <= peaks[i-1].Pos {
-			t.Fatalf("peaks not sorted: %+v", peaks)
-		}
-	}
-}
-
-func TestFindPeaksPlateau(t *testing.T) {
-	mag := []float64{0, 2, 2, 2, 0}
-	peaks := FindPeaks(mag, 1, 1)
-	if len(peaks) != 1 {
-		t.Fatalf("plateau produced %d peaks", len(peaks))
-	}
-}
-
-func TestEyeHistogramFolding(t *testing.T) {
-	// Edges at a fixed phase of a 100-sample period all land in one bin.
-	var positions []int64
-	for k := int64(0); k < 20; k++ {
-		positions = append(positions, 37+k*100)
-	}
-	counts := EyeHistogram(positions, 100, 25)
-	bin, peak, background := EyePeak(counts)
-	if peak != 20 {
-		t.Fatalf("peak count %d, want 20", peak)
-	}
-	if background != 0 {
-		t.Fatalf("background %v, want 0", background)
-	}
-	if bin != 37*25/100 {
-		t.Fatalf("peak bin %d", bin)
-	}
-}
-
-func TestEyeHistogramDegenerate(t *testing.T) {
-	if counts := EyeHistogram([]int64{1, 2}, 0, 10); len(counts) != 10 {
-		t.Fatal("zero period should yield empty counts of requested size")
-	}
-	bin, peak, _ := EyePeak(nil)
-	if bin != 0 || peak != 0 {
-		t.Fatal("EyePeak of empty input should be zeros")
-	}
-}
-
-func TestFoldedMeanAverages(t *testing.T) {
-	series := make([]float64, 100)
-	for k := 0; k < 10; k++ {
-		series[5+k*10] = 2
-	}
-	if got := FoldedMean(series, 5, 10, 10); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("folded mean %v, want 2", got)
-	}
-	if FoldedMean(series, 5, 10, 0) != 0 {
-		t.Fatal("zero reps should give 0")
 	}
 }
 

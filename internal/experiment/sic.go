@@ -12,8 +12,7 @@ package experiment
 // the capture the rounds re-swept and what the incremental residual
 // pass cost against the ForceFullResidual rebuild of the same decode
 // (which is byte-identical by contract, and checked here on every
-// cell). SICBenchEpoch pins the single capture the benchguard gate
-// measures sic_redecode_fraction on.
+// cell). SICBenchEpoch pins one such capture for the benchmarks.
 
 import (
 	"fmt"
@@ -114,8 +113,8 @@ func sicSlotEpoch(seed int64, tags int) (*lf.Epoch, lf.DecoderConfig, error) {
 	return ep, cfg, nil
 }
 
-// SICBenchEpoch is the fixed capture the benchguard gate measures
-// sic_redecode_fraction on: 8 tags packed into the first six slots of
+// SICBenchEpoch is the fixed slotted capture the benchmarks decode
+// (lfperf's slotted_replay, the root SIC benchmarks): 8 tags packed into the first six slots of
 // the 16-slot schedule, so two slots carry deliberate 2-tag collisions
 // and four carry clean singles, inside a ~26 ms listening window the
 // frames occupy roughly a tenth of.
@@ -138,9 +137,9 @@ func sicDecode(ep *lf.Epoch, cfg lf.DecoderConfig) (*lf.Result, *lf.Stats, time.
 	return res, dec.Stats(), time.Since(start), nil
 }
 
-// SICTimings is one cell's interleaved min-of-rounds measurement of
+// sicTimings is one cell's interleaved min-of-rounds measurement of
 // the three decode variants the redecode fraction is built from.
-type SICTimings struct {
+type sicTimings struct {
 	// Off is a decode with cancellation disabled (the first pass).
 	Off time.Duration
 	// Incremental and Full are decodes with the given rounds enabled,
@@ -155,13 +154,11 @@ type SICTimings struct {
 // disabled — is exactly what re-running detection over the whole
 // capture costs, so this is the O(dirty)-vs-O(capture) claim measured
 // directly: the dirty-span rounds add a fraction of a from-scratch
-// pass instead of a whole one. The benchguard gate caps it at
-// sicRedecodeCap for one round on the bench capture. (Full is kept for
-// the byte-identity check and reported alongside; it is not the
-// denominator — the ForceFullResidual rebuild shares the detection
+// pass instead of a whole one. (Full is kept for the byte-identity
+// check and reported alongside; it is not the denominator — the ForceFullResidual rebuild shares the detection
 // mask, so inc/full would only measure the lane and buffer carry-over,
 // not the dirty-span machinery.)
-func (t SICTimings) RedecodeFraction() float64 {
+func (t sicTimings) RedecodeFraction() float64 {
 	if t.Off <= 0 {
 		return math.NaN()
 	}
@@ -172,13 +169,13 @@ func (t SICTimings) RedecodeFraction() float64 {
 	return float64(inc) / float64(t.Off)
 }
 
-// MeasureSIC times the three variants interleaved (off, incremental,
+// measureSIC times the three variants interleaved (off, incremental,
 // full, repeated passes times) and keeps each variant's minimum — the
 // low-noise estimator for a deterministic workload; interleaving
 // cancels thermal and frequency-scaling drift. It also verifies the
 // incremental and full decodes are byte-identical, which is the §17
 // contract the equivalence tests pin more broadly.
-func MeasureSIC(ep *lf.Epoch, cfg lf.DecoderConfig, rounds, passes int) (SICTimings, *lf.Stats, error) {
+func measureSIC(ep *lf.Epoch, cfg lf.DecoderConfig, rounds, passes int) (sicTimings, *lf.Stats, error) {
 	offCfg, incCfg, fullCfg := cfg, cfg, cfg
 	offCfg.CancellationRounds = -1
 	incCfg.CancellationRounds = rounds
@@ -187,33 +184,33 @@ func MeasureSIC(ep *lf.Epoch, cfg lf.DecoderConfig, rounds, passes int) (SICTimi
 
 	incRes, incStats, _, err := sicDecode(ep, incCfg)
 	if err != nil {
-		return SICTimings{}, nil, err
+		return sicTimings{}, nil, err
 	}
 	fullRes, _, _, err := sicDecode(ep, fullCfg)
 	if err != nil {
-		return SICTimings{}, nil, err
+		return sicTimings{}, nil, err
 	}
 	if !reflect.DeepEqual(incRes, fullRes) {
-		return SICTimings{}, nil, fmt.Errorf("experiment: incremental SIC decode diverged from ForceFullResidual at rounds=%d", rounds)
+		return sicTimings{}, nil, fmt.Errorf("experiment: incremental SIC decode diverged from ForceFullResidual at rounds=%d", rounds)
 	}
 
-	min := SICTimings{Off: math.MaxInt64, Incremental: math.MaxInt64, Full: math.MaxInt64}
+	min := sicTimings{Off: math.MaxInt64, Incremental: math.MaxInt64, Full: math.MaxInt64}
 	if passes < 1 {
 		passes = 1
 	}
 	for p := 0; p < passes; p++ {
 		if _, _, d, err := sicDecode(ep, offCfg); err != nil {
-			return SICTimings{}, nil, err
+			return sicTimings{}, nil, err
 		} else if d < min.Off {
 			min.Off = d
 		}
 		if _, _, d, err := sicDecode(ep, incCfg); err != nil {
-			return SICTimings{}, nil, err
+			return sicTimings{}, nil, err
 		} else if d < min.Incremental {
 			min.Incremental = d
 		}
 		if _, _, d, err := sicDecode(ep, fullCfg); err != nil {
-			return SICTimings{}, nil, err
+			return sicTimings{}, nil, err
 		} else if d < min.Full {
 			min.Full = d
 		}
@@ -249,7 +246,7 @@ func SIC(cfg Config) (*Result, error) {
 		dcfg.Parallelism = cfg.Workers
 		captureLen := ep.Capture.Len()
 		for _, rounds := range roundsSweep {
-			t, snap, err := MeasureSIC(ep, dcfg, rounds, passes)
+			t, snap, err := measureSIC(ep, dcfg, rounds, passes)
 			if err != nil {
 				return nil, err
 			}

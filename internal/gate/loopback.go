@@ -53,9 +53,8 @@ type LoopbackResult struct {
 // Loopback runs a complete gateway round trip in-process: start a
 // gateway on a loopback listener, stream every reader's capture
 // through its own client concurrently, wait for all captures to flush,
-// and shut down. It is the harness behind `lfgate -demo`,
-// `lfbench -benchjson`'s gateway_frames_per_sec, and the acceptance
-// tests.
+// and shut down. It is the harness behind `lfgate -demo` and the
+// acceptance tests.
 func Loopback(ctx context.Context, gcfg Config, readers map[string]LoopbackReader) (*LoopbackResult, error) {
 	collect := newCollectSink()
 	gcfg.Sinks = append(append([]Sink(nil), gcfg.Sinks...), collect)

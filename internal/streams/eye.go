@@ -6,8 +6,6 @@ import (
 	"os"
 	"sort"
 
-	"lf/internal/cluster"
-	"lf/internal/collide"
 	"lf/internal/dsp"
 	"lf/internal/edgedetect"
 	"lf/internal/rng"
@@ -873,72 +871,6 @@ scan:
 	return best
 }
 
-// collectMembers returns indices of unused edges within tol of the
-// phase centre (mod period) and inside the folding window.
-func collectMembers(edges []edgedetect.Edge, used []bool, period, centre, tol, windowPos float64) []int {
-	var out []int
-	for i := range edges {
-		if used[i] || float64(edges[i].Pos) > windowPos {
-			continue
-		}
-		phase := math.Mod(float64(edges[i].Pos), period)
-		d := math.Abs(phase - centre)
-		if d > period/2 {
-			d = period - d
-		}
-		if d <= tol {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// analyzeMemberVectors decides whether the peak's member differentials
-// come from one tag (two antipodal clusters ±e) or a merged pair (the
-// eight non-origin lattice points), returning one or two rising-edge
-// vectors.
-func analyzeMemberVectors(edges []edgedetect.Edge, members []int, src *rng.Source) []complex128 {
-	diffs := make([]complex128, len(members))
-	for i, mi := range members {
-		diffs[i] = edges[mi].Diff
-	}
-	// Single-tag hypothesis: k=2, antipodal centroids, most points
-	// close to ±e.
-	km2 := cluster.KMeans(diffs, 2, 4, 60, src)
-	c1, c2 := km2.Centroids[0], km2.Centroids[1]
-	e := (c1 - c2) / 2
-	scale := dsp.Abs(e)
-	if scale > 0 && dsp.Abs(c1+c2) < 0.5*scale {
-		inliers := 0
-		for _, d := range diffs {
-			if dsp.Dist(d, e) <= 0.5*scale || dsp.Dist(d, -e) <= 0.5*scale {
-				inliers++
-			}
-		}
-		// A lone tag's members are essentially all within tolerance of
-		// ±e; a merged pair leaves the solo and opposite-corner lattice
-		// points outside, capping its inlier fraction near 60%.
-		if float64(inliers) >= 0.85*float64(len(diffs)) {
-			return []complex128{e}
-		}
-	}
-	// Merged-pair hypothesis: cluster into the eight non-origin
-	// lattice points and recover the two generators.
-	k := 8
-	if len(diffs) < 2*k {
-		k = 4
-	}
-	km := cluster.KMeans(diffs, k, 6, 80, src)
-	e1, e2, err := collide.RecoverAntipodal(km.Centroids, km.Counts())
-	if err != nil {
-		if scale > 0 {
-			return []complex128{e} // degraded single-vector fallback
-		}
-		return nil
-	}
-	return []complex128{e1, e2}
-}
-
 // gridFit is a fitted slot grid.
 type gridFit struct {
 	offset, period float64
@@ -964,18 +896,6 @@ func fitGrid(edges []edgedetect.Edge, members []int, nominal float64, cfg Config
 		return nil
 	}
 	return &gridFit{offset: offset, period: period}
-}
-
-// findAnyEdgeIncludingUsed is findAnyEdge without the used filter —
-// consumed or collided edges still witness grid occupancy.
-func findAnyEdgeIncludingUsed(edges []edgedetect.Edge, expect, tol float64) int {
-	lo := sort.Search(len(edges), func(i int) bool {
-		return float64(edges[i].Pos) >= expect-tol
-	})
-	if lo < len(edges) && float64(edges[lo].Pos) <= expect+tol {
-		return lo
-	}
-	return -1
 }
 
 // fitLineF least-squares fits ps ≈ offset + k·period over float ks.
