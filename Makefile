@@ -34,16 +34,17 @@ bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # Native Go fuzzing of the adversarial-input surfaces: the LFIQ
-# container parser and the streaming decode pipeline, plus the DSP
-# kernel contracts (prefix repair, the screened sweep's skip bound). FUZZTIME bounds
-# each target's budget (default 30s; raise for a soak run).
+# container parser and the streaming decode pipeline, plus the kernel
+# contracts (the masked residual fold, the screened sweep's skip
+# bound). FUZZTIME bounds each target's budget (default 30s; raise for
+# a soak run).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBlockReader -fuzztime $(FUZZTIME) ./internal/iq
 	$(GO) test -run '^$$' -fuzz FuzzReadCapture -fuzztime $(FUZZTIME) ./internal/iq
 	$(GO) test -run '^$$' -fuzz FuzzStreamPush -fuzztime $(FUZZTIME) ./internal/decoder
 	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzGateFrame -fuzztime $(FUZZTIME) ./internal/gate
-	$(GO) test -run '^$$' -fuzz FuzzPrefixRepair -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz FuzzMaskedFold -fuzztime $(FUZZTIME) ./internal/edgedetect
 	$(GO) test -run '^$$' -fuzz FuzzScreenSound -fuzztime $(FUZZTIME) ./internal/dsp
 
 # Short-budget fuzz pass for CI: enough executions to catch decode-path
@@ -74,13 +75,11 @@ obs-smoke:
 
 # Incremental-SIC smoke: the dirty-span vs ForceFullResidual
 # byte-identity matrix (fault kinds x rounds, block/parallelism
-# composition, vacuity guard) under the race detector, the prefix
-# subtract-and-repair unit suite, and one quick sic experiment run so
-# the redecode-fraction measurement path stays wired end to end.
+# composition, vacuity guard) under the race detector, and the edge
+# detector's masked residual fold suite.
 sic-smoke:
 	$(GO) test -race -run 'TestSIC' .
-	$(GO) test -run 'TestRepairPrefix' ./internal/dsp
-	$(GO) run ./cmd/lfbench -exp sic -quick
+	$(GO) test -run 'TestMasked' ./internal/edgedetect
 
 # Reader-gateway smoke: the gateway lifecycle suite (resume, kill
 # mid-stream flush, double-Close, connect/disconnect storm, slow-sink

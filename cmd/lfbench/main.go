@@ -5,7 +5,7 @@
 // Usage:
 //
 //	lfbench [-exp all|table1|fig1|fig2|fig4|fig5|fig8|fig9|fig10|fig11|fig12|table2|table3|fig13|fig14|
-//	             dynamics|reliable|streaming|sic|robustness|scalability|capacity|ablation]
+//	             dynamics|reliable|streaming|robustness|scalability|capacity|ablation]
 //	        [-seed N] [-epochs N] [-quick] [-workers N] [-format table|csv]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -30,7 +30,7 @@ type runner struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1, fig1, fig2, fig4, fig5, fig8, fig9, fig10, fig11, fig12, table2, table3, fig13, fig14, dynamics, reliable, streaming, sic, robustness, scalability, capacity, ablation)")
+	exp := flag.String("exp", "all", "experiment to run (all, table1, fig1, fig2, fig4, fig5, fig8, fig9, fig10, fig11, fig12, table2, table3, fig13, fig14, dynamics, reliable, streaming, robustness, scalability, capacity, ablation)")
 	seed := flag.Int64("seed", 1, "random seed")
 	epochs := flag.Int("epochs", 3, "epochs per measured point")
 	quick := flag.Bool("quick", false, "trim sweeps for a fast smoke run")
@@ -89,7 +89,6 @@ func main() {
 		{"dynamics", experiment.DynamicsRobustness},
 		{"reliable", experiment.ReliableTransfer},
 		{"streaming", experiment.Streaming},
-		{"sic", experiment.SIC},
 		{"robustness", experiment.Robustness},
 		{"scalability", experiment.ScalabilityLowRate},
 		{"capacity", experiment.CapacityModel},

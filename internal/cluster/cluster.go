@@ -1,14 +1,15 @@
 // Package cluster implements k-means clustering over points in the IQ
-// plane, with model selection over the number of clusters. The decoder
-// uses it to tell whether the edge differentials observed at a
-// recurring position come from one tag (3 clusters: rising, falling,
-// constant) or from a k-tag collision (3^k clusters), per §3.3.
+// plane. The decoder uses it to separate a two-tag collision (§3.3):
+// the edge differentials at a position two streams share fall into the
+// 3² = 9 combinations of each tag's rising, falling, or constant state,
+// so it clusters them at a fixed k = 9. The collision order is not
+// chosen by clustering: it is the number of registered streams whose
+// slots claim the same detected edge.
 package cluster
 
 import (
 	"math"
 
-	"lf/internal/dsp"
 	"lf/internal/rng"
 )
 
@@ -206,112 +207,4 @@ func sqDist(a, b complex128) float64 {
 	dr := real(a) - real(b)
 	di := imag(a) - imag(b)
 	return dr*dr + di*di
-}
-
-// Silhouette computes the simplified (centroid-based) silhouette score
-// of a clustering: for each point, a = distance to own centroid, b =
-// distance to nearest other centroid, s = (b−a)/max(a,b). Scores near 1
-// mean tight, well-separated clusters. Empty and singleton clusterings
-// score 0.
-func Silhouette(points []complex128, res *Result) float64 {
-	if res.K < 2 || len(points) < 2 {
-		return 0
-	}
-	var total float64
-	n := 0
-	for i, p := range points {
-		a := math.Sqrt(sqDist(p, res.Centroids[res.Assign[i]]))
-		b := math.Inf(1)
-		for c, ct := range res.Centroids {
-			if c == res.Assign[i] {
-				continue
-			}
-			if d := math.Sqrt(sqDist(p, ct)); d < b {
-				b = d
-			}
-		}
-		den := math.Max(a, b)
-		if den == 0 {
-			continue
-		}
-		total += (b - a) / den
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return total / float64(n)
-}
-
-// ChooseK clusters the points at each candidate k and returns the
-// result with the best penalized score. The score combines the
-// simplified silhouette with a small complexity penalty so that a
-// 3-cluster structure is not needlessly explained by 9 clusters.
-func ChooseK(points []complex128, candidates []int, src *rng.Source) *Result {
-	var best *Result
-	bestScore := math.Inf(-1)
-	for _, k := range candidates {
-		if k > len(points) {
-			continue
-		}
-		res := KMeans(points, k, 4, 50, src)
-		score := Silhouette(points, res) - 0.01*float64(k)
-		if k == 1 {
-			// Silhouette is undefined at k=1; score a single cluster
-			// by how tight it is relative to the data spread.
-			score = singleClusterScore(points, res)
-		}
-		if score > bestScore {
-			best, bestScore = res, score
-		}
-	}
-	return best
-}
-
-// singleClusterScore rates the k=1 hypothesis: near 1 when the points
-// are one tight blob, negative when the spread is much larger than the
-// densest core (suggesting structure).
-func singleClusterScore(points []complex128, res *Result) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	c := res.Centroids[0]
-	ds := make([]float64, len(points))
-	for i, p := range points {
-		ds[i] = math.Sqrt(sqDist(p, c))
-	}
-	med := dsp.MedianFloat(ds)
-	var max float64
-	for _, d := range ds {
-		if d > max {
-			max = d
-		}
-	}
-	if max == 0 {
-		return 1
-	}
-	return 1 - 2*(max-med)/max
-}
-
-// CollisionOrder estimates how many tags collide at a position from
-// the differential points observed there: it chooses k among
-// {1, 3, 9, 27} (0, 1, 2, 3 colliding tags — the paper notes ≥3-way
-// collisions are rare enough that higher orders can be ignored) and
-// returns the inferred number of colliders together with the chosen
-// clustering.
-func CollisionOrder(points []complex128, src *rng.Source) (colliders int, res *Result) {
-	res = ChooseK(points, []int{1, 3, 9, 27}, src)
-	if res == nil {
-		return 0, nil
-	}
-	switch res.K {
-	case 1:
-		return 0, res
-	case 3:
-		return 1, res
-	case 9:
-		return 2, res
-	default:
-		return 3, res
-	}
 }

@@ -91,85 +91,6 @@ func TestAssignmentsAreNearest(t *testing.T) {
 	}
 }
 
-func TestSilhouetteSeparatedVsMerged(t *testing.T) {
-	src := rng.New(4)
-	sep := blobs([]complex128{0, 10}, 40, 0.2, src)
-	sepRes := KMeans(sep, 2, 4, 50, src)
-	merged := blobs([]complex128{0, 0.1}, 40, 1.0, src)
-	mergedRes := KMeans(merged, 2, 4, 50, src)
-	if Silhouette(sep, sepRes) < 0.8 {
-		t.Fatalf("separated silhouette %v too low", Silhouette(sep, sepRes))
-	}
-	if Silhouette(merged, mergedRes) > 0.6 {
-		t.Fatalf("merged silhouette %v too high", Silhouette(merged, mergedRes))
-	}
-}
-
-func TestSilhouetteDegenerate(t *testing.T) {
-	src := rng.New(5)
-	pts := []complex128{1, 2}
-	res := KMeans(pts, 1, 1, 10, src)
-	if Silhouette(pts, res) != 0 {
-		t.Fatal("k=1 silhouette should be 0")
-	}
-}
-
-func TestChooseKPicksThree(t *testing.T) {
-	src := rng.New(6)
-	// A single tag's differentials: rising, falling, hold.
-	centres := []complex128{complex(1, 0.5), complex(-1, -0.5), 0}
-	points := blobs(centres, 40, 0.05, src)
-	res := ChooseK(points, []int{1, 3, 9}, src)
-	if res.K != 3 {
-		t.Fatalf("ChooseK picked %d, want 3", res.K)
-	}
-}
-
-func TestChooseKPicksNineOnLattice(t *testing.T) {
-	src := rng.New(7)
-	e1, e2 := complex(1, 0.2), complex(-0.3, 1)
-	var centres []complex128
-	for a := -1; a <= 1; a++ {
-		for b := -1; b <= 1; b++ {
-			centres = append(centres, complex(float64(a), 0)*e1+complex(float64(b), 0)*e2)
-		}
-	}
-	points := blobs(centres, 25, 0.04, src)
-	res := ChooseK(points, []int{3, 9}, src)
-	if res.K != 9 {
-		t.Fatalf("ChooseK picked %d, want 9", res.K)
-	}
-}
-
-func TestChooseKSinglePoint(t *testing.T) {
-	src := rng.New(8)
-	res := ChooseK([]complex128{5}, []int{1, 3}, src)
-	if res == nil || res.K != 1 {
-		t.Fatalf("single point should be one cluster, got %+v", res)
-	}
-}
-
-func TestCollisionOrderMapping(t *testing.T) {
-	src := rng.New(9)
-	// One tag: three clusters → 1 collider.
-	one := blobs([]complex128{1 + 1i, -1 - 1i, 0}, 40, 0.05, src)
-	if n, _ := CollisionOrder(one, src); n != 1 {
-		t.Fatalf("single tag reported %d colliders", n)
-	}
-	// Two tags: nine clusters → 2 colliders.
-	e1, e2 := complex(1, 0), complex(0, 1)
-	var lattice []complex128
-	for a := -1; a <= 1; a++ {
-		for b := -1; b <= 1; b++ {
-			lattice = append(lattice, complex(float64(a), 0)*e1+complex(float64(b), 0)*e2)
-		}
-	}
-	two := blobs(lattice, 25, 0.04, src)
-	if n, _ := CollisionOrder(two, src); n != 2 {
-		t.Fatalf("two-tag lattice reported %d colliders", n)
-	}
-}
-
 func TestKMeansDeterministicWithSeed(t *testing.T) {
 	pts := blobs([]complex128{0, 4}, 20, 0.1, rng.New(10))
 	a := KMeans(pts, 2, 3, 50, rng.New(42))

@@ -353,104 +353,6 @@ func RecoverAntipodal(centroids []complex128, counts []int) (e1, e2 complex128, 
 	return e1, e2, nil
 }
 
-// RecoverGenerators recovers up to maxGens per-tag edge vectors from a
-// clustering of the differentials observed across a phase-cluster
-// region where several tags' edges interleave and collide. Solo edges
-// populate heavy antipodal cluster pairs ±eᵢ, while co-toggle combos
-// Σ±eᵢ scatter across many lighter clusters; so the generators are the
-// heavy antipodal pairs that are not themselves (±) sums or
-// differences of heavier accepted pairs.
-func RecoverGenerators(centroids []complex128, counts []int, maxGens int) ([]complex128, error) {
-	if len(centroids) != len(counts) {
-		return nil, errors.New("collide: centroid/count length mismatch")
-	}
-	scale := medianAbs(centroids)
-	if scale == 0 {
-		return nil, ErrDegenerate
-	}
-	tol := 0.3 * scale
-	type pair struct {
-		v      complex128
-		weight int
-	}
-	var pairs []pair
-	used := make([]bool, len(centroids))
-	for i := range centroids {
-		if used[i] || cmplx.Abs(centroids[i]) < tol {
-			continue
-		}
-		for j := i + 1; j < len(centroids); j++ {
-			if used[j] {
-				continue
-			}
-			if cmplx.Abs(centroids[i]+centroids[j]) < tol {
-				used[i], used[j] = true, true
-				pairs = append(pairs, pair{
-					v:      (centroids[i] - centroids[j]) / 2,
-					weight: counts[i] + counts[j],
-				})
-				break
-			}
-		}
-	}
-	if len(pairs) == 0 {
-		return nil, ErrDegenerate
-	}
-	for a := 0; a < len(pairs); a++ {
-		for b := a + 1; b < len(pairs); b++ {
-			if pairs[b].weight > pairs[a].weight {
-				pairs[a], pairs[b] = pairs[b], pairs[a]
-			}
-		}
-	}
-	// Combo filter: a pair vector that is (±) the sum or difference of
-	// two strictly heavier pairs is a co-toggle combo, not a generator.
-	// (Every lattice element is a combination of others, so the weight
-	// asymmetry — solo clusters outweigh each combo cluster — is what
-	// breaks the symmetry.)
-	combo := make([]bool, len(pairs))
-	for i := range pairs {
-		for a := range pairs {
-			if a == i || pairs[a].weight <= pairs[i].weight {
-				continue
-			}
-			for b := a + 1; b < len(pairs); b++ {
-				if b == i || pairs[b].weight <= pairs[i].weight {
-					continue
-				}
-				for _, sum := range []complex128{pairs[a].v + pairs[b].v, pairs[a].v - pairs[b].v} {
-					if cmplx.Abs(pairs[i].v-sum) < tol || cmplx.Abs(pairs[i].v+sum) < tol {
-						combo[i] = true
-					}
-				}
-			}
-		}
-	}
-	var gens []complex128
-	isDup := func(v complex128) bool {
-		for _, g := range gens {
-			scale := math.Max(cmplx.Abs(v), cmplx.Abs(g))
-			if cmplx.Abs(v-g) < 0.35*scale || cmplx.Abs(v+g) < 0.35*scale {
-				return true
-			}
-		}
-		return false
-	}
-	for i, p := range pairs {
-		if len(gens) >= maxGens {
-			break
-		}
-		if combo[i] || isDup(p.v) {
-			continue
-		}
-		gens = append(gens, p.v)
-	}
-	if len(gens) == 0 {
-		return nil, ErrDegenerate
-	}
-	return gens, nil
-}
-
 // ClassifyJoint maps one observed differential to the nearest lattice
 // combination over k edge vectors, Σᵢ aᵢ·eᵢ with aᵢ ∈ {−1,0,1}. It
 // generalizes Classify to higher-order collisions (the paper notes

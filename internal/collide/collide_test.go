@@ -204,35 +204,6 @@ func TestRecoverAntipodalPrefersGenerators(t *testing.T) {
 	}
 }
 
-func TestRecoverGeneratorsFiltersCombos(t *testing.T) {
-	centroids := []complex128{
-		testE1, -testE1, testE2, -testE2,
-		testE1 + testE2, -(testE1 + testE2),
-	}
-	counts := []int{40, 40, 35, 35, 10, 10}
-	gens, err := RecoverGenerators(centroids, counts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gens) != 2 {
-		t.Fatalf("got %d generators, want 2 (combo must be filtered)", len(gens))
-	}
-	for _, g := range gens {
-		if !vecClose(g, testE1) && !vecClose(g, testE2) {
-			t.Fatalf("unexpected generator %v", g)
-		}
-	}
-}
-
-func TestRecoverGeneratorsDegenerate(t *testing.T) {
-	if _, err := RecoverGenerators(nil, nil, 4); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	if _, err := RecoverGenerators([]complex128{1, 1}, []int{5, 5}, 4); err == nil {
-		t.Fatal("non-antipodal centroids should fail")
-	}
-}
-
 func TestStateString(t *testing.T) {
 	if Rising != 1 || Falling != -1 || Constant != 0 {
 		t.Fatal("state constants changed")

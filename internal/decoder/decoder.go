@@ -94,15 +94,14 @@ type Config struct {
 	CalibSamples int64
 	// ForceFullResidual disables incremental SIC (DESIGN.md §17),
 	// reverting every cancellation round to the historical mechanics: a
-	// freshly allocated residual buffer, a full re-subtraction of every
-	// trusted stream, and a from-scratch re-decode of the whole
-	// residual. The default incremental path keeps one residual buffer
-	// across rounds, subtracts only the streams decoded in the latest
-	// round over their dirty spans, repairs the sweep's prefix sums
-	// span-locally, and seeds the residual pass's detector with the
-	// repaired lanes and the first pass's calibration. The decode is
-	// byte-identical either way (sic_equivalence_test.go pins the
-	// matrix); the knob exists for A/B benchmarking and debugging.
+	// freshly allocated residual buffer and a full re-subtraction of
+	// every trusted stream. The default incremental path keeps one
+	// copy-on-read residual buffer across rounds and subtracts only the
+	// streams decoded in the latest round over their dirty spans. Both
+	// decode the residual under the same detection mask with the first
+	// pass's calibration. The decode is byte-identical either way
+	// (sic_equivalence_test.go pins the matrix); the knob exists for A/B
+	// benchmarking and debugging.
 	ForceFullResidual bool
 	// ViterbiWindow is the sliding trellis window of the sequence
 	// decoder: survivor paths commit as they merge and are truncated at
@@ -141,11 +140,11 @@ type Config struct {
 	// residual (sic.go, DESIGN.md §17). Internal: set only by the
 	// cancellation loop on its sub-decode configs.
 	sicCalib *edgedetect.CalibPreset
-	// sicSeed, when non-nil, seeds the detector with the round cache's
-	// pre-folded (and span-locally repaired) prefix-sum lanes, skipping
-	// sample ingest entirely. Internal: requires sicCalib; set only by
-	// the incremental cancellation path.
-	sicSeed *edgedetect.SweepSeed
+	// sicMasked, when non-nil, decodes the residual under the round's
+	// detection mask, folding its prefix sums over the mask's padded
+	// regions only instead of pushing the whole capture. Internal:
+	// requires sicCalib; set only by the cancellation loop.
+	sicMasked *edgedetect.MaskedCapture
 }
 
 // metrics returns the configured pipeline or the shared disabled one,
@@ -268,10 +267,10 @@ func Decode(capture *iq.Capture, cfg Config) (*Result, error) {
 	// copy needed on the batch path.
 	sd.retain = capture.Samples
 	sd.retainExt = true
-	// A seeded decode (incremental SIC residual pass) adopted the
-	// pre-folded prefix sums at construction; there is nothing to push —
-	// Flush closes the detector and drives detection end to end.
-	if cfg.sicSeed != nil {
+	// A masked decode (SIC residual pass) folded the residual's prefix
+	// sums at construction; there is nothing to push — Flush closes the
+	// detector and drives detection end to end.
+	if cfg.sicMasked != nil {
 		return sd.Flush()
 	}
 	if err := sd.Push(capture.Samples); err != nil {

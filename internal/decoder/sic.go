@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"errors"
 	"math"
 	"sort"
 
@@ -27,18 +28,19 @@ import (
 // The rounds run incrementally (DESIGN.md §17): one residual buffer
 // persists across rounds, each round subtracts only the streams
 // decoded since the previous round over their dirty spans, the
-// residual's prefix-sum lanes are folded region-locally
-// (dsp.RepairPrefix over each padded mask span, from its own zero
-// base) instead of refolded from the origin — every lane read is a
-// within-region difference, so the per-region base cancels — and the
-// residual pass's detector is seeded with the folded lanes plus the
-// first pass's calibration — the noise floor is a channel property; subtracting
-// decoded signal does not change it — and masked to the dirty-span
-// closure (dirtyClosure): recovered tags can only surface where
+// residual pass hands the detector the residual as a masked capture
+// (edgedetect.MaskedCapture): detection is confined to the dirty-span
+// closure (dirtyClosure) — recovered tags can only surface where
 // subtraction changed the residual or where a decoded stream they
-// collide with still stands. A round whose dirty-span set is empty is
-// skipped outright: the residual is byte-unchanged, so the re-decode
-// could only return streams that deduplicate against themselves.
+// collide with still stands — and the detector folds its prefix sums
+// over each padded mask span (laneRegions) from its own zero base
+// instead of from the origin: every lane read is a within-region
+// difference, so the per-region base cancels. The pass carries the
+// first pass's calibration — the noise floor is a channel property;
+// subtracting decoded signal does not change it. A round whose
+// dirty-span set is empty is skipped outright: the residual is
+// byte-unchanged, so the re-decode could only return streams that
+// deduplicate against themselves.
 // Config.ForceFullResidual reverts every round to fresh-copy,
 // full-subtract, refold-from-origin mechanics under the same mask; the
 // decode is byte-identical either way (sic_equivalence_test.go), so
@@ -211,26 +213,20 @@ func reconstruct(sr *StreamResult, n int, rampSamples int) []reconSeg {
 const sicTrust = 0.45
 
 // sicState is the cancellation loop's cross-round cache: the
-// persistent residual buffer, the subtracted-stream watermark, and
-// (seeded rounds) the residual's prefix-sum lanes, folded
-// region-locally over the round's detection mask and seeded into the
-// residual decode. Lane entries outside the round's regions are
-// unspecified — the mask soundness argument (laneRegions) is exactly
-// that the decode never reads them.
+// persistent residual buffer, the subtracted-stream watermark, and the
+// latched push-path decision (residualDecode).
 type sicState struct {
 	residual   []complex128
 	copied     []edgedetect.Span // residual ranges materialized from retain
-	sumsRe     []float64
-	sumsIm     []float64
-	seeded     bool // lanes admissible (no inadmissible samples seen)
-	seen       int  // results already scanned for trusted candidates
-	subtracted int  // trusted streams folded into the residual so far
+	pushPath   bool              // a masked fold met an inadmissible sample
+	seen       int               // results already scanned for trusted candidates
+	subtracted int               // trusted streams folded into the residual so far
 }
 
 // ensureResidual materializes the persistent residual over the given
 // ranges: parts not yet copied from the retained capture are copied
 // now; parts copied in an earlier round keep their (subtracted)
-// values. A seeded residual decode reads samples only inside the lane
+// values. A masked residual decode reads samples only inside the lane
 // fold regions, so the buffer is copy-on-read — O(regions), not
 // O(capture) — with the rest left unmaterialized until (if ever) a
 // push-path fallback needs the whole capture. Subtraction stays sound
@@ -247,21 +243,10 @@ func (st *sicState) ensureResidual(retain []complex128, ranges []edgedetect.Span
 	st.copied = mergeRanges(append(st.copied, ranges...))
 }
 
-// seedable reports whether residual decodes may still run seeded: once
-// any fold sees an inadmissible sample the epoch falls back to the
-// push path for good, in both round mechanics — the rule is monotone
-// so the A/B modes cannot disagree on marginal re-admissions.
-func (st *sicState) seedable() bool { return st.sumsRe == nil || st.seeded }
-
 func (st *sicState) release() {
 	if st.residual != nil {
 		pool.PutComplex(st.residual)
 		st.residual, st.copied = nil, nil
-	}
-	if st.sumsRe != nil {
-		pool.PutFloat(st.sumsRe)
-		pool.PutFloat(st.sumsIm)
-		st.sumsRe, st.sumsIm = nil, nil
 	}
 }
 
@@ -444,62 +429,11 @@ func (sd *StreamDecoder) laneRegions(active []edgedetect.Span, n int) []edgedete
 	return mergeRanges(regions)
 }
 
-// foldLanes folds each region of the residual into the lanes from the
-// region's own zero base (dsp.RepairPrefix over the bounded subslice).
-// Lane reads are windowed differences confined to one region — the
-// padding argument in laneReach — so the per-region base cancels and
-// the decode is identical to one over from-origin lanes, at O(regions)
-// cost instead of O(capture). Returns false if any region holds an
-// inadmissible sample (non-finite or overflow-scale — exactly what the
-// detector's push path replaces under hold-last-finite); the caller
-// must then fall back to the push path, which owns that semantics.
-func foldLanes(re, im []float64, residual []complex128, regions []edgedetect.Span) bool {
-	for _, r := range regions {
-		re[r.Lo], im[r.Lo] = 0, 0
-		if dsp.RepairPrefix(re, im, residual[:r.Hi], int(r.Lo),
-			edgedetect.MaxSampleMag) != -1 {
-			return false
-		}
-	}
-	return true
-}
-
-// seedLanes allocates (once) and folds the state's lanes over this
-// round's regions and builds the detector seed, shared by the
-// incremental and ForceFullResidual paths so the A/B decode and the
-// push-path fallback decision are byte-identical. The final lane entry
-// is pinned so the value NewStream snapshots as its (unused, seeded
-// streams never fold further) closing accumulator is deterministic.
-func (sd *StreamDecoder) seedLanes(st *sicState, residual []complex128, active, regions []edgedetect.Span, calib *edgedetect.CalibPreset) *edgedetect.SweepSeed {
-	n := len(residual)
-	if calib == nil || !st.seedable() {
-		// No calibration to carry means no seeded detector (a seeded
-		// stream sweeps only its active mask, so it cannot take its own
-		// calibration median); the push path recalibrates as the
-		// historical semantics did.
-		st.seeded = false
-		return nil
-	}
-	if st.sumsRe == nil {
-		st.sumsRe = pool.FloatUninit(n + 1)
-		st.sumsIm = pool.FloatUninit(n + 1)
-		st.sumsRe[n], st.sumsIm[n] = 0, 0
-	}
-	st.seeded = foldLanes(st.sumsRe, st.sumsIm, residual, regions)
-	if !st.seeded {
-		return nil
-	}
-	return &edgedetect.SweepSeed{SumsRe: st.sumsRe, SumsIm: st.sumsIm, Active: active}
-}
-
 // incrementalResidualDecode is the default round mechanics: materialize
 // the persistent residual over the round's mask regions (copy-on-read),
 // subtract only the latest round's reconstructions — tiled over their
-// merged dirty ranges — fold the prefix-sum lanes over those regions
-// only, and seed the residual decode with them. A region containing
-// inadmissible samples abandons seeding for the rest of the epoch
-// (sicState.seedable) and decodes through the push path, which reads
-// the whole residual — so that path materializes the rest first.
+// merged dirty ranges — and decode the residual masked to those
+// regions.
 func (sd *StreamDecoder) incrementalResidualDecode(st *sicState, contribs [][]reconSeg, touched, active []edgedetect.Span, calib *edgedetect.CalibPreset) (*Result, error) {
 	n := len(sd.retain)
 	regions := sd.laneRegions(active, n)
@@ -510,11 +444,7 @@ func (sd *StreamDecoder) incrementalResidualDecode(st *sicState, contribs [][]re
 			subtractSegs(st.residual, contribs, base+clo, base+chi)
 		})
 	}
-	seed := sd.seedLanes(st, st.residual, active, regions, calib)
-	if seed == nil {
-		st.ensureResidual(sd.retain, []edgedetect.Span{{Lo: 0, Hi: int64(n)}})
-	}
-	return sd.residualDecode(st.residual, calib, seed)
+	return sd.residualDecode(st, st.residual, active, regions, calib)
 }
 
 // fullResidualDecode is the ForceFullResidual A/B mechanics — no
@@ -522,10 +452,9 @@ func (sd *StreamDecoder) incrementalResidualDecode(st *sicState, contribs [][]re
 // from a freshly copied residual. The subtraction runs in results
 // order, so each sample sees the exact subtraction sequence the
 // incremental path accumulated round by round and the residuals are
-// bit-identical; the lane fold (seedLanes — shared code, shared
-// regions, bit-identical residual input) then produces identical lane
-// values and the identical push-path fallback decision, and the decode
-// runs under the same detection mask — so the A/B axis isolates
+// bit-identical; residualDecode then folds identical lane values over
+// the same regions, takes the identical push-path decision, and
+// decodes under the same detection mask — so the A/B axis isolates
 // exactly the carry-over machinery.
 func (sd *StreamDecoder) fullResidualDecode(st *sicState, active []edgedetect.Span, calib *edgedetect.CalibPreset) (*Result, error) {
 	n := len(sd.retain)
@@ -548,8 +477,7 @@ func (sd *StreamDecoder) fullResidualDecode(st *sicState, active []edgedetect.Sp
 	sd.meter.DoRanges(sd.workers, n, func(lo, hi int) {
 		subtractSegs(residual, contribs, lo, hi)
 	})
-	seed := sd.seedLanes(st, residual, active, sd.laneRegions(active, n), calib)
-	res2, err := sd.residualDecode(residual, calib, seed)
+	res2, err := sd.residualDecode(st, residual, active, sd.laneRegions(active, n), calib)
 	// The residual pass copies everything it keeps (slot observations,
 	// edge differentials, stream vectors), so the buffer can go back to
 	// the pool as soon as the decode returns.
@@ -557,11 +485,20 @@ func (sd *StreamDecoder) fullResidualDecode(st *sicState, active []edgedetect.Sp
 	return res2, err
 }
 
-// residualDecode runs one inner pipeline pass over a residual.
-// Metering or tracing it would double-count every stage, so recovered
-// streams surface only through the SIC counters; the pass's wall time
-// is recorded against stage.sic_ns (runtime-class).
-func (sd *StreamDecoder) residualDecode(residual []complex128, calib *edgedetect.CalibPreset, seed *edgedetect.SweepSeed) (*Result, error) {
+// residualDecode runs one inner pipeline pass over a residual, shared
+// by the incremental and ForceFullResidual mechanics so their decodes
+// stay byte-identical. The pass decodes a masked capture: detection
+// under the round's mask, prefix sums folded over its padded regions.
+// It pushes the whole residual instead when there is no calibration to
+// carry (a masked detector cannot take its own calibration median), and
+// from the first masked fold that meets an inadmissible sample on: the
+// push path owns hold-last-finite replacement, and latching it for the
+// rest of the epoch keeps the two mechanics from disagreeing on
+// marginal re-admissions. Metering or tracing the pass would
+// double-count every stage, so recovered streams surface only through
+// the SIC counters; its wall time is recorded against stage.sic_ns
+// (runtime-class).
+func (sd *StreamDecoder) residualDecode(st *sicState, residual []complex128, active, regions []edgedetect.Span, calib *edgedetect.CalibPreset) (*Result, error) {
 	resCap := &iq.Capture{SampleRate: sd.sampleRate, Samples: residual}
 	sub := sd.cfg
 	sub.CancellationRounds = 0
@@ -569,11 +506,23 @@ func (sd *StreamDecoder) residualDecode(residual []complex128, calib *edgedetect
 	sub.Tracer = nil
 	sub.OnFrame = nil
 	sub.sicCalib = calib
-	sub.sicSeed = seed
 	ts := sd.now()
-	res2, err := Decode(resCap, sub)
-	sd.observe(sd.m.Stage.SIC, ts)
-	return res2, err
+	defer sd.observe(sd.m.Stage.SIC, ts)
+	if calib != nil && !st.pushPath {
+		sub.sicMasked = &edgedetect.MaskedCapture{Samples: residual, Active: active, Regions: regions}
+		res, err := Decode(resCap, sub)
+		if !errors.Is(err, edgedetect.ErrInadmissible) {
+			return res, err
+		}
+		st.pushPath = true
+		sub.sicMasked = nil
+	}
+	if st.residual != nil {
+		// The incremental residual is copy-on-read; the push path reads
+		// all of it.
+		st.ensureResidual(sd.retain, []edgedetect.Span{{Lo: 0, Hi: int64(len(residual))}})
+	}
+	return Decode(resCap, sub)
 }
 
 // subtractSegs subtracts every contribution's segments overlapping

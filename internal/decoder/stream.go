@@ -94,7 +94,7 @@ func NewStreamDecoder(sampleRate float64, cfg Config) (*StreamDecoder, error) {
 	det, err := edgedetect.NewStream(edgedetect.StreamConfig{
 		Config: ecfg, CalibSamples: cfg.CalibSamples,
 		Metrics: m.Edge, Meter: meter,
-		Calib: cfg.sicCalib, Seed: cfg.sicSeed,
+		Calib: cfg.sicCalib, Masked: cfg.sicMasked,
 	})
 	if err != nil {
 		return nil, err
@@ -159,17 +159,6 @@ func (sd *StreamDecoder) Push(block []complex128) error {
 	sd.pump()
 	sd.observe(sd.m.Stage.Push, t0)
 	return sd.err
-}
-
-// PushOwned is Push with ownership transfer: the decoder takes the
-// block (which must come from pool.Complex/pool.ComplexUninit or be
-// otherwise relinquished) and recycles it once consumed, so a reader
-// front end can hand off pooled buffers with zero copies. The caller
-// must not touch block afterwards.
-func (sd *StreamDecoder) PushOwned(block []complex128) error {
-	err := sd.Push(block)
-	pool.PutComplex(block)
-	return err
 }
 
 // Flush marks end of capture, drains every stage (including the

@@ -1,9 +1,8 @@
 // Package dsp implements the signal-processing primitives the
 // LF-Backscatter edge detector is built from: O(1) windowed means via
 // prefix sums, IQ edge differentials (the ΔS(t) = S(t⁺) − S(t⁻) of the
-// paper's §3.1) and the sweep kernels that compute them, prefix-sum
-// repair for SIC residuals, median-based noise-floor estimation, and
-// non-maximum suppression of peaks.
+// paper's §3.1) and the sweep kernels that compute them, median-based
+// noise-floor estimation, and non-maximum suppression of peaks.
 package dsp
 
 import (

@@ -164,32 +164,3 @@ func (d *Detector) MeasureAt(pos int64) complex128 {
 func (d *Detector) MeasureAtClean(pos int64) complex128 {
 	return d.stream.MeasureAtClean(pos)
 }
-
-// NearestEdge returns the index of the edge closest to pos within
-// maxDist, or -1. Edges are sorted by position so this is a binary
-// search.
-func (d *Detector) NearestEdge(pos, maxDist int64) int {
-	lo, hi := 0, len(d.edges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.edges[mid].Pos < pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	best, bestDist := -1, maxDist+1
-	for _, i := range []int{lo - 1, lo} {
-		if i < 0 || i >= len(d.edges) {
-			continue
-		}
-		dist := d.edges[i].Pos - pos
-		if dist < 0 {
-			dist = -dist
-		}
-		if dist < bestDist {
-			best, bestDist = i, dist
-		}
-	}
-	return best
-}

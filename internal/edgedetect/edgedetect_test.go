@@ -162,27 +162,6 @@ func TestMeasureAtQuietPosition(t *testing.T) {
 	}
 }
 
-func TestNearestEdge(t *testing.T) {
-	h := complex(8e-4, 0)
-	cap := capture(t, h, 0, []tag.Toggle{
-		{Time: 20e-6, State: 1},
-		{Time: 40e-6, State: 0},
-	}, 80e-6)
-	det, err := New(cap, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx := det.NearestEdge(505, 20); idx != 0 {
-		t.Fatalf("NearestEdge(505) = %d", idx)
-	}
-	if idx := det.NearestEdge(990, 20); idx != 1 {
-		t.Fatalf("NearestEdge(990) = %d", idx)
-	}
-	if idx := det.NearestEdge(750, 20); idx != -1 {
-		t.Fatalf("NearestEdge far from both = %d", idx)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	bad := DefaultConfig()
 	bad.Gap = 0

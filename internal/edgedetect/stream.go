@@ -38,18 +38,12 @@ type StreamConfig struct {
 	// capture does not change it (DESIGN.md §17). Both values must be
 	// finite and positive. CalibSamples is ignored when set.
 	Calib *CalibPreset
-	// Seed, when non-nil, adopts a pre-folded capture instead of pushed
-	// blocks: the stream aliases the caller's from-origin prefix-sum
-	// lanes directly — no sample ingest, no fold — and Close drives
-	// detection end to end. Push is an error on a seeded stream. The
-	// caller keeps ownership of the arrays: the stream never compacts,
-	// mutates, or pool-recycles them (Release simply drops the alias),
-	// so a SIC round cache can repair and re-seed the same arrays
-	// across rounds. Every folded sample must have been admissible
-	// (finite, below the overflow bound — see MaxSampleMag); captures
-	// with replaced samples must take the push path, which owns the
-	// hold-last-finite semantics. Requires Calib.
-	Seed *SweepSeed
+	// Masked, when non-nil, decodes a whole capture under a detection
+	// mask instead of pushed blocks: NewStream folds the capture's
+	// prefix-sum lanes over Masked.Regions only, and Close drives
+	// detection end to end. Push is an error on a masked stream.
+	// Requires Calib.
+	Masked *MaskedCapture
 }
 
 // CalibPreset fixes the noise floor and detection threshold a stream
@@ -58,31 +52,38 @@ type CalibPreset struct {
 	Floor, Threshold float64
 }
 
-// SweepSeed hands a stream pre-folded prefix-sum lanes, both len n+1
-// for an n-sample capture. Fully folded lanes hold
-// SumsRe[j]/SumsIm[j] = componentwise sum of samples [0, j); under an
-// Active mask the caller may instead fold each padded mask region from
-// its own zero base and leave the entries between regions unspecified.
-// Every read the stream performs is a windowed difference
-// sums[hi]−sums[lo] with both endpoints inside one region — sweep and
-// refinement windows reach at most Gap+MaxWin outside a probed
-// position, and the caller owns padding the regions to cover every
-// position its own measurement calls (MeasureAt/MeasureAtClean) probe
-// — so any per-region base cancels and the detection is identical to
-// one over from-origin lanes. See StreamConfig.Seed for the ownership
-// and admissibility contract (admissibility applies to the folded
-// regions).
-type SweepSeed struct {
-	SumsRe, SumsIm []float64
-	// Active, when non-nil, restricts detection to the given spans:
-	// sorted, disjoint, half-open sample ranges within [0, n].
-	// Differential magnitudes outside them are don't-care values the
-	// local-maximum scan never visits. The caller owns the soundness
-	// argument that out-of-mask positions carry nothing it wants
-	// detected (the SIC dirty-span closure: DESIGN.md §17). nil sweeps
-	// the whole capture.
-	Active []Span
+// MaskedCapture is a capture whose detection is confined to Active and
+// whose prefix sums are needed only inside Regions. NewStream folds
+// each region from its own zero base into stream-owned lanes, leaving
+// the entries between regions unspecified. Every read the stream
+// performs is a windowed difference sums[hi]−sums[lo] with both
+// endpoints inside one region — sweep and refinement windows reach at
+// most Gap+MaxWin outside a probed position, and the caller owns
+// padding the regions to cover every position its own measurement
+// calls (MeasureAt/MeasureAtClean) probe — so the per-region base
+// cancels and detection is identical to a Push of the whole capture, at
+// O(regions) fold cost instead of O(capture). A region holding a
+// sample Push would replace (non-finite or overflow-scale) makes
+// NewStream fail with ErrInadmissible: such captures take the push
+// path, which owns the hold-last-finite semantics. Samples outside
+// every region are never read, and the stream does not keep Samples.
+type MaskedCapture struct {
+	Samples []complex128
+	// Active restricts detection to the given spans; nil sweeps the
+	// whole capture. Differential magnitudes outside them are don't-care
+	// values the local-maximum scan never visits. The caller owns the
+	// soundness argument that out-of-mask positions carry nothing it
+	// wants detected (the SIC dirty-span closure: DESIGN.md §17).
+	// Regions are the sample ranges whose prefix sums are folded; each
+	// Active span must lie inside one region. Both are sorted, separated
+	// (neither overlapping nor adjacent), half-open ranges within
+	// [0, len(Samples)].
+	Active, Regions []Span
 }
+
+// ErrInadmissible reports a masked capture whose fold regions hold a
+// sample the push path would replace (see MaskedCapture).
+var ErrInadmissible = errors.New("edgedetect: masked capture region holds an inadmissible sample")
 
 // Stream is an incremental edge detector: IQ samples are pushed in
 // arbitrary blocks and edges appear in Edges() as soon as they are
@@ -163,13 +164,12 @@ type Stream struct {
 	err      error
 	released bool
 
-	// extSums marks caller-owned (seeded) prefix-sum arrays: never
-	// compacted in place, never recycled to the pool, and Push is
-	// rejected (see StreamConfig.Seed).
-	extSums bool
-	// active, when non-nil, is the seeded detection mask (sorted
+	// masked marks a stream built from a MaskedCapture: its lanes are
+	// folded at construction and Push is rejected.
+	masked bool
+	// active, when non-nil, is the masked detection mask (sorted
 	// disjoint sample spans); the sweep and the local-maximum scan
-	// visit only these ranges (SweepSeed.Active).
+	// visit only these ranges (MaskedCapture.Active).
 	active []Span
 }
 
@@ -193,11 +193,6 @@ const (
 	signBit   = 1 << 63
 )
 
-// MaxSampleMag exports the admission bound for callers that pre-fold
-// seeded prefix sums (the maxMag argument of dsp.RepairPrefix): a
-// seeded capture must contain no sample a Push would have replaced.
-const MaxSampleMag = maxSampleMag
-
 // maxDropSpans caps the recorded span list so adversarial NaN floods
 // cannot grow unbounded state: past the cap, new drops widen the last
 // span (conservative over-blanking).
@@ -218,31 +213,31 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 			return nil, fmt.Errorf("edgedetect: calibration preset (%v, %v) must be finite and positive", f, th)
 		}
 	}
-	if cfg.Seed != nil {
-		if cfg.Calib == nil {
-			return nil, errors.New("edgedetect: Seed requires Calib")
-		}
-		if len(cfg.Seed.SumsRe) < 2 || len(cfg.Seed.SumsRe) != len(cfg.Seed.SumsIm) {
-			return nil, fmt.Errorf("edgedetect: seed prefix lanes len %d/%d (want equal, ≥ 2)",
-				len(cfg.Seed.SumsRe), len(cfg.Seed.SumsIm))
-		}
-		prev := int64(0)
-		for _, r := range cfg.Seed.Active {
-			if r.Lo < prev || r.Hi <= r.Lo || r.Hi > int64(len(cfg.Seed.SumsRe)-1) {
-				return nil, fmt.Errorf("edgedetect: seed active span [%d, %d) not sorted, disjoint, and within the capture", r.Lo, r.Hi)
-			}
-			prev = r.Hi
-		}
-	}
 	s := &Stream{cfg: cfg.Config, calib: cfg.CalibSamples, workers: work.Resolve(cfg.Parallelism),
 		em: cfg.Metrics, meter: cfg.Meter, screenFrom: math.MaxInt64}
-	if cfg.Seed != nil {
-		s.sumsRe, s.sumsIm = cfg.Seed.SumsRe, cfg.Seed.SumsIm
-		s.active = cfg.Seed.Active
-		s.extSums = true
-		s.front = int64(len(s.sumsRe) - 1)
-		s.accRe = s.sumsRe[len(s.sumsRe)-1]
-		s.accIm = s.sumsIm[len(s.sumsIm)-1]
+	if m := cfg.Masked; m != nil {
+		n := int64(len(m.Samples))
+		active := m.Active
+		if active == nil {
+			active = []Span{{0, n}}
+		}
+		switch {
+		case cfg.Calib == nil:
+			return nil, errors.New("edgedetect: Masked requires Calib")
+		case n == 0:
+			return nil, errors.New("edgedetect: masked capture has no samples")
+		case !spansOK(m.Active, n) || !spansOK(m.Regions, n) || !covers(m.Regions, active):
+			return nil, errors.New("edgedetect: masked spans must be sorted, separated, within the capture, and Active inside Regions")
+		}
+		s.sumsRe, s.sumsIm = pool.FloatUninit(int(n)+1), pool.FloatUninit(int(n)+1)
+		s.masked, s.active, s.front = true, m.Active, n
+		for _, r := range m.Regions {
+			s.sumsRe[r.Lo], s.sumsIm[r.Lo] = 0, 0
+			if _, _, over := fold(s.sumsRe[r.Lo+1:], s.sumsIm[r.Lo+1:], m.Samples[r.Lo:r.Hi], 0, 0); over&signBit != 0 {
+				s.Release()
+				return nil, ErrInadmissible
+			}
+		}
 	} else {
 		s.sumsRe = append(pool.Float(0), 0)
 		s.sumsIm = append(pool.Float(0), 0)
@@ -253,7 +248,11 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		s.threshold = cfg.Calib.Threshold
 		s.startScreen()
 	}
-	s.mag = pool.Float(0)
+	// A masked stream sweeps its whole capture at Close; taking mag at
+	// its lanes' size up front lets the three buffers stand in for one
+	// another in the pool from one SIC round to the next (a smaller one
+	// would be dropped by the next round's lane request).
+	s.mag = pool.FloatUninit(len(s.sumsRe))[:0]
 	return s, nil
 }
 
@@ -261,18 +260,13 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 // internal buffer at its grown capacity so steady-state reuse does not
 // allocate. Edges returned before the Reset are invalidated.
 func (s *Stream) Reset() {
-	if s.released || s.extSums {
-		// Seeded arrays stay with their owner; a reset stream starts
-		// over on its own pooled lanes (and drops any calibration
-		// preset with the rest of the calibration state).
-		if s.released {
-			s.mag = pool.Float(0)
-		}
-		s.sumsRe = pool.Float(0)
-		s.sumsIm = pool.Float(0)
-		s.released, s.extSums = false, false
-		s.active = nil
+	if s.released {
+		s.sumsRe, s.sumsIm, s.mag = pool.Float(0), pool.Float(0), pool.Float(0)
+		s.released = false
 	}
+	// A reset masked stream becomes a push stream (and drops any
+	// calibration preset with the rest of the calibration state).
+	s.masked, s.active = false, nil
 	s.sumsRe = append(s.sumsRe[:0], 0)
 	s.sumsIm = append(s.sumsIm[:0], 0)
 	s.sumBase, s.accRe, s.accIm, s.front = 0, 0, 0, 0
@@ -299,8 +293,8 @@ func (s *Stream) Push(block []complex128) error {
 	if s.released {
 		return errors.New("edgedetect: push on released stream")
 	}
-	if s.extSums {
-		return errors.New("edgedetect: push on seeded stream")
+	if s.masked {
+		return errors.New("edgedetect: push on masked stream")
 	}
 	if s.eof {
 		return errors.New("edgedetect: push after close")
@@ -313,21 +307,9 @@ func (s *Stream) Push(block []complex128) error {
 	s.sumsIm = extendFloats(s.sumsIm, len(block))
 	re := s.sumsRe[base:][:len(block)]
 	im := s.sumsIm[base:][:len(block)]
-	// Admission is checked once per block: the OR of every sample's
-	// inadmissible bits has its sign bit set only if some sample fails
-	// sampleOK. Only a block that fails is re-accumulated sample by
-	// sample. (A fold of max(|re|, |im|) would say the same, but its
-	// NaN-propagating compare chain costs more than the per-sample check
-	// it replaces.)
-	accRe, accIm := s.accRe, s.accIm
-	var over uint64
-	for i, v := range block {
-		over |= inadmissible(v)
-		accRe += real(v)
-		accIm += imag(v)
-		re[i] = accRe
-		im[i] = accIm
-	}
+	// Only a block that fails admission is re-accumulated sample by
+	// sample.
+	accRe, accIm, over := fold(re, im, block, s.accRe, s.accIm)
 	if over&signBit == 0 {
 		s.accRe, s.accIm = accRe, accIm
 		if len(block) > 0 {
@@ -340,6 +322,25 @@ func (s *Stream) Push(block []complex128) error {
 	s.advance()
 	s.trim()
 	return nil
+}
+
+// fold accumulates block onto the running sums accRe/accIm, storing
+// each partial sum into re/im (at least len(block) long), and returns
+// the final sums and the OR of every sample's inadmissible bits, whose
+// sign bit is set only if some sample fails sampleOK. (A fold of
+// max(|re|, |im|) would say the same, but its NaN-propagating compare
+// chain costs more than the per-sample check it replaces.)
+func fold(re, im []float64, block []complex128, accRe, accIm float64) (float64, float64, uint64) {
+	re, im = re[:len(block)], im[:len(block)]
+	var over uint64
+	for i, v := range block {
+		over |= inadmissible(v)
+		accRe += real(v)
+		accIm += imag(v)
+		re[i] = accRe
+		im[i] = accIm
+	}
+	return accRe, accIm, over
 }
 
 // inadmissible has its sign bit set exactly when v fails sampleOK. A
@@ -406,10 +407,8 @@ func (s *Stream) Release() {
 		return
 	}
 	s.released = true
-	if !s.extSums {
-		pool.PutFloat(s.sumsRe)
-		pool.PutFloat(s.sumsIm)
-	}
+	pool.PutFloat(s.sumsRe)
+	pool.PutFloat(s.sumsIm)
 	s.sumsRe, s.sumsIm = nil, nil
 	if s.mag != nil {
 		pool.PutFloat(s.mag)
@@ -557,6 +556,34 @@ func (s *Stream) startScreen() {
 	}
 }
 
+// spansOK reports whether spans are sorted, separated (neither
+// overlapping nor adjacent), non-empty, and within [0, n].
+func spansOK(spans []Span, n int64) bool {
+	prev := int64(-1)
+	for _, r := range spans {
+		if r.Lo <= prev || r.Hi <= r.Lo || r.Hi > n {
+			return false
+		}
+		prev = r.Hi
+	}
+	return true
+}
+
+// covers reports whether each of the sorted spans lies inside one of
+// the sorted regions.
+func covers(regions, spans []Span) bool {
+	j := 0
+	for _, r := range spans {
+		for j < len(regions) && regions[j].Hi < r.Hi {
+			j++
+		}
+		if j == len(regions) || regions[j].Lo > r.Lo {
+			return false
+		}
+	}
+	return true
+}
+
 // sampleOK reports whether a sample may enter the prefix sums: finite
 // and small enough that no realistic capture length can overflow the
 // running accumulation.
@@ -659,7 +686,7 @@ func (s *Stream) advance() {
 			s.scanRange(s.scanned, scanHi)
 		} else {
 			// Masked scan: positions outside the active spans are
-			// don't-care (SweepSeed.Active), so only the spans are
+			// don't-care (MaskedCapture.Active), so only the spans are
 			// scanned; the neighbour and centroid reads that cross a span
 			// edge land in its blanked pad.
 			for _, r := range s.active {
@@ -706,7 +733,7 @@ func (s *Stream) sweepTo(hi int64) {
 		})
 	} else {
 		// Masked sweep: the kernel runs only over the active spans (a
-		// seeded stream sweeps once, at Close, so this branch runs once
+		// masked stream sweeps once, at Close, so this branch runs once
 		// with lo = 0). Positions outside the spans are don't-care, and
 		// the only reads that stray past a span boundary are the scan's
 		// neighbour probes (±1) and centroiding (±(Gap+2)) at in-span
@@ -990,12 +1017,6 @@ func (s *Stream) trim() {
 }
 
 func (s *Stream) dropSums(keep int64) {
-	if s.extSums {
-		// Seeded lanes are caller-owned and must survive intact for the
-		// next SIC round's span-local repair; they cost nothing extra to
-		// retain (the caller holds them regardless).
-		return
-	}
 	if keep > s.front {
 		keep = s.front
 	}

@@ -1,30 +1,22 @@
 package experiment
 
-// Incremental SIC characterization (DESIGN.md §17). The paper's reader
-// polls the network and then listens for a window long enough to cover
-// every tag's slotted response; most of the capture is quiet carrier
-// with frames staggered across response slots. That shape is where the
-// dirty-span re-decode earns its keep — a cancellation round's
-// subtraction touches only the slots that actually carried signal, so
-// the residual pass sweeps a fraction of the listening window instead
-// of all of it. The experiment here sweeps tag density and cancellation
-// rounds over such slotted captures and reports, per cell, how much of
-// the capture the rounds re-swept and what the incremental residual
-// pass cost against the ForceFullResidual rebuild of the same decode
-// (which is byte-identical by contract, and checked here on every
-// cell). SICBenchEpoch pins one such capture for the benchmarks.
+// Slotted-response captures for the incremental SIC benchmarks
+// (DESIGN.md §17). The paper's reader polls the network and then
+// listens for a window long enough to cover every tag's slotted
+// response; most of the capture is quiet carrier with frames staggered
+// across response slots. That shape is where the dirty-span re-decode
+// earns its keep — a cancellation round's subtraction touches only the
+// slots that actually carried signal, so the residual pass sweeps a
+// fraction of the listening window instead of all of it.
+// SICBenchEpoch pins one such capture; lfperf's slotted_replay workload
+// reports its SIC cost (decoder.sic_ms, decoder.sic_dirty_frac, and
+// the decoder.full_residual_rt A/B row).
 
 import (
-	"fmt"
-	"math"
-	"reflect"
-	"time"
-
 	"lf"
 	"lf/internal/channel"
 	"lf/internal/reader"
 	"lf/internal/rng"
-	"lf/internal/stats"
 	"lf/internal/tag"
 )
 
@@ -120,160 +112,4 @@ func sicSlotEpoch(seed int64, tags int) (*lf.Epoch, lf.DecoderConfig, error) {
 // frames occupy roughly a tenth of.
 func SICBenchEpoch(seed int64) (*lf.Epoch, lf.DecoderConfig, error) {
 	return sicSlotEpoch(seed, 8)
-}
-
-// sicDecode runs one batch decode and returns the result, its stats,
-// and the wall time.
-func sicDecode(ep *lf.Epoch, cfg lf.DecoderConfig) (*lf.Result, *lf.Stats, time.Duration, error) {
-	dec, err := lf.NewDecoder(cfg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	start := time.Now()
-	res, err := dec.Decode(ep)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return res, dec.Stats(), time.Since(start), nil
-}
-
-// sicTimings is one cell's interleaved min-of-rounds measurement of
-// the three decode variants the redecode fraction is built from.
-type sicTimings struct {
-	// Off is a decode with cancellation disabled (the first pass).
-	Off time.Duration
-	// Incremental and Full are decodes with the given rounds enabled,
-	// in dirty-span and ForceFullResidual mechanics respectively.
-	Incremental time.Duration
-	Full        time.Duration
-}
-
-// RedecodeFraction is the incremental residual passes' marginal cost
-// as a fraction of a full re-decode of the capture:
-// (incremental − off) / off. Off — the decode with cancellation
-// disabled — is exactly what re-running detection over the whole
-// capture costs, so this is the O(dirty)-vs-O(capture) claim measured
-// directly: the dirty-span rounds add a fraction of a from-scratch
-// pass instead of a whole one. (Full is kept for the byte-identity
-// check and reported alongside; it is not the denominator — the ForceFullResidual rebuild shares the detection
-// mask, so inc/full would only measure the lane and buffer carry-over,
-// not the dirty-span machinery.)
-func (t sicTimings) RedecodeFraction() float64 {
-	if t.Off <= 0 {
-		return math.NaN()
-	}
-	inc := t.Incremental - t.Off
-	if inc < 0 {
-		inc = 0
-	}
-	return float64(inc) / float64(t.Off)
-}
-
-// measureSIC times the three variants interleaved (off, incremental,
-// full, repeated passes times) and keeps each variant's minimum — the
-// low-noise estimator for a deterministic workload; interleaving
-// cancels thermal and frequency-scaling drift. It also verifies the
-// incremental and full decodes are byte-identical, which is the §17
-// contract the equivalence tests pin more broadly.
-func measureSIC(ep *lf.Epoch, cfg lf.DecoderConfig, rounds, passes int) (sicTimings, *lf.Stats, error) {
-	offCfg, incCfg, fullCfg := cfg, cfg, cfg
-	offCfg.CancellationRounds = -1
-	incCfg.CancellationRounds = rounds
-	fullCfg.CancellationRounds = rounds
-	fullCfg.ForceFullResidual = true
-
-	incRes, incStats, _, err := sicDecode(ep, incCfg)
-	if err != nil {
-		return sicTimings{}, nil, err
-	}
-	fullRes, _, _, err := sicDecode(ep, fullCfg)
-	if err != nil {
-		return sicTimings{}, nil, err
-	}
-	if !reflect.DeepEqual(incRes, fullRes) {
-		return sicTimings{}, nil, fmt.Errorf("experiment: incremental SIC decode diverged from ForceFullResidual at rounds=%d", rounds)
-	}
-
-	min := sicTimings{Off: math.MaxInt64, Incremental: math.MaxInt64, Full: math.MaxInt64}
-	if passes < 1 {
-		passes = 1
-	}
-	for p := 0; p < passes; p++ {
-		if _, _, d, err := sicDecode(ep, offCfg); err != nil {
-			return sicTimings{}, nil, err
-		} else if d < min.Off {
-			min.Off = d
-		}
-		if _, _, d, err := sicDecode(ep, incCfg); err != nil {
-			return sicTimings{}, nil, err
-		} else if d < min.Incremental {
-			min.Incremental = d
-		}
-		if _, _, d, err := sicDecode(ep, fullCfg); err != nil {
-			return sicTimings{}, nil, err
-		} else if d < min.Full {
-			min.Full = d
-		}
-	}
-	return min, incStats, nil
-}
-
-// SIC sweeps tag density × cancellation rounds over slotted-response
-// epochs and reports, per cell, the capture fraction the rounds marked
-// dirty, the streams carried over instead of re-subtracted, the
-// per-round residual-pass cost (stage.sic_ns), and the redecode
-// fraction against the ForceFullResidual rebuild.
-func SIC(cfg Config) (*Result, error) {
-	populations := []int{2, 4, 8, 12}
-	roundsSweep := []int{1, 2, 3}
-	passes := 4
-	if cfg.Quick {
-		populations = []int{4, 8}
-		roundsSweep = []int{1, 2}
-		passes = 2
-	}
-	table := &stats.Table{
-		Title: fmt.Sprintf("Incremental SIC — dirty-span re-decode vs full residual rebuild (%d slots, pitch %.1f ms, window %.1f ms)",
-			sicSlots, sicSlotPitch*1e3, sicWindow()*1e3),
-		Header: []string{"tags", "rounds", "recovered", "dirty %", "carried", "sic ms/round", "redecode frac"},
-	}
-	series := []stats.Series{{Label: "redecode fraction (1 round)"}, {Label: "dirty % (1 round)"}}
-	for _, tags := range populations {
-		ep, dcfg, err := sicSlotEpoch(cfg.Seed+int64(tags)*31, tags)
-		if err != nil {
-			return nil, err
-		}
-		dcfg.Parallelism = cfg.Workers
-		captureLen := ep.Capture.Len()
-		for _, rounds := range roundsSweep {
-			t, snap, err := measureSIC(ep, dcfg, rounds, passes)
-			if err != nil {
-				return nil, err
-			}
-			ranRounds := snap.Counter("sic.rounds")
-			dirtyPct := 0.0
-			if ranRounds > 0 {
-				dirtyPct = 100 * float64(snap.Counter("sic.dirty_samples")) /
-					(float64(ranRounds) * float64(captureLen))
-			}
-			perRoundMS := 0.0
-			if tm, ok := snap.Timings["stage.sic_ns"]; ok && tm.Count > 0 {
-				perRoundMS = float64(tm.TotalNs) / float64(tm.Count) / 1e6
-			}
-			frac := t.RedecodeFraction()
-			table.AddRow(
-				fmt.Sprint(tags), fmt.Sprintf("%d/%d", ranRounds, rounds),
-				fmt.Sprint(snap.Counter("sic.recovered")),
-				fmt.Sprintf("%.1f", dirtyPct),
-				fmt.Sprint(snap.Counter("sic.carried_streams")),
-				fmt.Sprintf("%.2f", perRoundMS),
-				fmt.Sprintf("%.2f", frac),
-			)
-			if rounds == 1 {
-				series[0].Add(float64(tags), frac)
-				series[1].Add(float64(tags), dirtyPct)
-			}
-		}
-	}
-	return &Result{Table: table, Series: series}, nil
 }

@@ -127,36 +127,6 @@ func (b *BlockReader) readSamples(dst []complex128) (int, error) {
 	return done, nil
 }
 
-// ReadBlock decodes up to n samples into a pooled buffer and hands it
-// to the caller, ownership included: the buffer comes from the shared
-// sample pool, so feeding it to StreamDecoder.PushOwned moves samples
-// from file to decoder with no further copies (the decoder recycles
-// the buffer once it has consumed it). Returns
-// (nil, io.EOF) once the payload is exhausted; any other error follows
-// Read's contract, with the samples decoded before the error delivered
-// alongside it. Callers that keep a non-empty buffer must recycle it
-// with pool.PutComplex themselves.
-func (b *BlockReader) ReadBlock(n int) ([]complex128, error) {
-	if b.read >= b.count {
-		return nil, io.EOF
-	}
-	if rem := b.count - b.read; int64(n) > rem {
-		n = int(rem)
-	}
-	dst := pool.ComplexUninit(n)
-	got, err := b.Read(dst)
-	if got == 0 {
-		// Only an untouched buffer may go back: a short final read's
-		// buffer belongs to the caller, and recycling a buffer the
-		// caller is about to push would let the pool hand the same
-		// backing array to another ComplexUninit and scribble over live
-		// samples.
-		pool.PutComplex(dst)
-		return nil, err
-	}
-	return dst[:got], err
-}
-
 // Close recycles the reader's internal buffer. The reader must not be
 // used afterwards.
 func (b *BlockReader) Close() error {

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"lf/internal/pool"
 )
 
 func TestCaptureRoundTrip(t *testing.T) {
@@ -232,41 +230,5 @@ func TestBlockReaderTruncatedPayload(t *testing.T) {
 	// A bulk read delivers every whole sample that arrived: 62 of 64.
 	if n != 62 {
 		t.Fatalf("truncated payload delivered %d samples, want 62", n)
-	}
-}
-
-func TestBlockReaderReadBlock(t *testing.T) {
-	c := &Capture{SampleRate: 25e6, Samples: make([]complex128, 5000)}
-	for i := range c.Samples {
-		c.Samples[i] = complex(float64(i), float64(i)/7)
-	}
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	br, err := NewBlockReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Close()
-	var got []complex128
-	for {
-		blk, err := br.ReadBlock(999)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, blk...)
-		pool.PutComplex(blk)
-	}
-	if len(got) != len(c.Samples) {
-		t.Fatalf("read %d samples, want %d", len(got), len(c.Samples))
-	}
-	for i := range got {
-		if got[i] != c.Samples[i] {
-			t.Fatalf("sample %d: %v != %v", i, got[i], c.Samples[i])
-		}
 	}
 }

@@ -76,8 +76,8 @@ func Float(n int) []float64 {
 }
 
 // FloatUninit is Float without the clear, for callers that provably
-// overwrite every element — e.g. SIC prefix-sum lanes that the fold
-// writes in full.
+// write every element before reading it — e.g. the edge detector's
+// prefix-sum lanes.
 func FloatUninit(n int) []float64 {
 	if v := floatPool.Get(); v != nil {
 		buf := *v.(*[]float64)

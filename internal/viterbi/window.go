@@ -231,17 +231,12 @@ func (v *Windowed) Margin() float64 {
 	return best - second
 }
 
-// DecodeWindowed runs the windowed recursion over a whole emission
-// sequence. With window >= len(emissions) (or any sequence whose
-// survivor paths merge within the window) the result is identical to
-// Decode; either way memory is O(window).
-func (d *Decoder) DecodeWindowed(emissions []Emission, window int) []State {
-	states, _ := d.DecodeWindowedMargin(emissions, window)
-	return states
-}
-
-// DecodeWindowedMargin is DecodeWindowed plus the final path margin
-// (see Windowed.Margin), for per-frame confidence scoring.
+// DecodeWindowedMargin runs the windowed recursion over a whole
+// emission sequence and returns the states with the final path margin
+// (see Windowed.Margin), for per-frame confidence scoring. With window
+// >= len(emissions) (or any sequence whose survivor paths merge within
+// the window) the states are identical to Decode's; either way memory
+// is O(window).
 func (d *Decoder) DecodeWindowedMargin(emissions []Emission, window int) ([]State, float64) {
 	return d.DecodeWindowedMarginObs(emissions, window, Metrics{})
 }

@@ -19,7 +19,7 @@ func TestWindowedMatchesBatchWithinWindow(t *testing.T) {
 		emissions := emit(bits, sigma2, src)
 		d := NewDecoder(0.5, Down)
 		want := d.Decode(emissions)
-		got := d.DecodeWindowed(emissions, 256)
+		got, _ := d.DecodeWindowedMargin(emissions, 256)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: length %d want %d", trial, len(got), len(want))
 		}
@@ -44,7 +44,7 @@ func TestWindowedMatchesBatchBeyondWindow(t *testing.T) {
 			emissions := emit(bits, sigma2, src)
 			d := NewDecoder(0.5, Down)
 			want := d.Decode(emissions)
-			got := d.DecodeWindowed(emissions, w)
+			got, _ := d.DecodeWindowedMargin(emissions, w)
 			if len(got) != len(want) {
 				t.Fatalf("length %d want %d", len(got), len(want))
 			}
@@ -68,7 +68,7 @@ func TestWindowedAlwaysValid(t *testing.T) {
 		for i := range emissions {
 			emissions[i] = Emission{Obs: src.ComplexNorm(1e-7), E: testE, Sigma2: 1e-8}
 		}
-		states := NewDecoder(0.5, Down).DecodeWindowed(emissions, 16)
+		states, _ := NewDecoder(0.5, Down).DecodeWindowedMargin(emissions, 16)
 		if len(states) != n {
 			t.Fatalf("trial %d: committed %d of %d states", trial, len(states), n)
 		}

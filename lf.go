@@ -596,13 +596,6 @@ func (d *Decoder) NewStream() (*StreamDecoder, error) {
 // Push feeds one block of IQ samples.
 func (s *StreamDecoder) Push(block []complex128) error { return s.sd.Push(block) }
 
-// PushOwned is Push with ownership transfer: the decoder recycles the
-// block (which must come from a pool or be otherwise relinquished)
-// once consumed, so a reader front end — iq.BlockReader.ReadBlock —
-// can hand pooled buffers to the decoder with zero copies. The caller
-// must not touch block afterwards.
-func (s *StreamDecoder) PushOwned(block []complex128) error { return s.sd.PushOwned(block) }
-
 // Flush marks end of capture, drains the pipeline, and returns the
 // final result.
 func (s *StreamDecoder) Flush() (*Result, error) {
@@ -616,14 +609,14 @@ func (s *StreamDecoder) Flush() (*Result, error) {
 
 // Stats snapshots this stream's pipeline metrics so far. It may be
 // called mid-decode between pushes, but callers must not run it
-// concurrently with Push, PushOwned or Flush. Empty when
+// concurrently with Push or Flush. Empty when
 // DecoderConfig.NoStats is set.
 func (s *StreamDecoder) Stats() *Stats { return s.sd.Stats() }
 
 // RetainedBytes reports the sample-proportional memory the decode
 // currently holds — the observable the streaming memory bound is
 // stated (and tested) against. Like Stats, it must not run
-// concurrently with Push, PushOwned or Flush.
+// concurrently with Push or Flush.
 func (s *StreamDecoder) RetainedBytes() int64 { return s.sd.RetainedBytes() }
 
 // Decode runs the pipeline over one epoch's capture.

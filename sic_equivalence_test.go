@@ -33,8 +33,8 @@ func sicPair(t *testing.T, label string, samples []complex128, cfg lf.DecoderCon
 // TestSICIncrementalMatchesFullResidual pins the tentpole byte-identity
 // contract across the degradation surface: for a clean capture and one
 // capture per fault kind, at every CancellationRounds depth, the
-// incremental dirty-span residual decode (carry-over lanes, masked
-// sweep, copy-on-read residual) must produce byte-identical Results —
+// incremental dirty-span residual decode (carried residual,
+// copy-on-read materialization) must produce byte-identical Results —
 // frames, drops, recovered streams, and decode-class stats — to the
 // ForceFullResidual rebuild of the same rounds (DESIGN.md §17). The two
 // mechanics share the detection mask by construction; any divergence
