@@ -73,12 +73,13 @@ kernel-smoke:
 obs-smoke:
 	$(GO) test -race -run 'TestGolden|TestMetricsConservation|TestStatsDeterminism' .
 
-# Incremental-SIC smoke: the dirty-span vs ForceFullResidual
-# byte-identity matrix (fault kinds x rounds, block/parallelism
-# composition, vacuity guard) under the race detector, and the edge
-# detector's masked residual fold suite.
+# Incremental-SIC smoke: the batch vs streaming byte-identity matrix
+# (fault kinds x rounds, block/parallelism composition, vacuity guard)
+# and the decoder's residual-fill and SIC unit tests under the race
+# detector, and the edge detector's masked residual fold suite.
 sic-smoke:
 	$(GO) test -race -run 'TestSIC' .
+	$(GO) test -race -run 'TestSIC' ./internal/decoder
 	$(GO) test -run 'TestMasked' ./internal/edgedetect
 
 # Reader-gateway smoke: the gateway lifecycle suite (resume, kill

@@ -201,9 +201,17 @@ func BenchmarkEdgeDetection(b *testing.B) {
 	b.SetBytes(int64(16 * ep.Capture.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := edgedetect.New(ep.Capture, edgedetect.DefaultConfig()); err != nil {
+		s, err := edgedetect.NewStream(edgedetect.StreamConfig{Config: edgedetect.DefaultConfig()})
+		if err != nil {
 			b.Fatal(err)
 		}
+		if err := s.Push(ep.Capture.Samples); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		s.Release()
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 
 	"lf"
 	"lf/internal/fault"
+	"lf/internal/iq"
 )
 
 var updateGolden = flag.Bool("update", false, "regenerate testdata/golden from the case table")
@@ -102,16 +103,7 @@ func TestGolden(t *testing.T) {
 			if *updateGolden {
 				writeGoldenCapture(t, gc)
 			}
-			capPath := goldenPath(gc.name, "lfiq")
-			f, err := os.Open(capPath)
-			if err != nil {
-				t.Fatalf("open %s (regenerate with -update): %v", capPath, err)
-			}
-			defer f.Close()
-			capture, err := lf.ReadCapture(f)
-			if err != nil {
-				t.Fatal(err)
-			}
+			capture := readGoldenCapture(t, gc.name)
 
 			// Batch decode.
 			dec, err := lf.NewDecoder(goldenConfig(capture.SampleRate, gc.rounds))
@@ -221,6 +213,21 @@ func writeGoldenText(t *testing.T, name, ext, content string) {
 	if err := os.WriteFile(goldenPath(name, ext), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func readGoldenCapture(t *testing.T, name string) *iq.Capture {
+	t.Helper()
+	path := goldenPath(name, "lfiq")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("open %s (regenerate with -update): %v", path, err)
+	}
+	defer f.Close()
+	capture, err := lf.ReadCapture(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return capture
 }
 
 func readGoldenText(t *testing.T, name, ext string) string {

@@ -92,17 +92,6 @@ type Config struct {
 	// to end of capture. Batch Decode honours the same knob, so batch
 	// and streaming stay bit-identical at any setting.
 	CalibSamples int64
-	// ForceFullResidual disables incremental SIC (DESIGN.md §17),
-	// reverting every cancellation round to the historical mechanics: a
-	// freshly allocated residual buffer and a full re-subtraction of
-	// every trusted stream. The default incremental path keeps one
-	// copy-on-read residual buffer across rounds and subtracts only the
-	// streams decoded in the latest round over their dirty spans. Both
-	// decode the residual under the same detection mask with the first
-	// pass's calibration. The decode is byte-identical either way
-	// (sic_equivalence_test.go pins the matrix); the knob exists for A/B
-	// benchmarking and debugging.
-	ForceFullResidual bool
 	// ViterbiWindow is the sliding trellis window of the sequence
 	// decoder: survivor paths commit as they merge and are truncated at
 	// this depth, bounding per-stream decoder state. 0 selects

@@ -12,6 +12,7 @@ import (
 	"lf/internal/pool"
 	"lf/internal/streams"
 	"lf/internal/viterbi"
+	"lf/internal/work"
 )
 
 // Successive interference cancellation (SIC). A tag that failed to
@@ -25,26 +26,22 @@ import (
 // cites SIC/ZigZag as related work); it is ablatable via
 // Config.CancellationRounds.
 //
-// The rounds run incrementally (DESIGN.md §17): one residual buffer
-// persists across rounds, each round subtracts only the streams
-// decoded since the previous round over their dirty spans, the
-// residual pass hands the detector the residual as a masked capture
-// (edgedetect.MaskedCapture): detection is confined to the dirty-span
-// closure (dirtyClosure) — recovered tags can only surface where
-// subtraction changed the residual or where a decoded stream they
-// collide with still stands — and the detector folds its prefix sums
-// over each padded mask span (laneRegions) from its own zero base
-// instead of from the origin: every lane read is a within-region
-// difference, so the per-region base cancels. The pass carries the
-// first pass's calibration — the noise floor is a channel property;
-// subtracting decoded signal does not change it. A round whose
-// dirty-span set is empty is skipped outright: the residual is
-// byte-unchanged, so the re-decode could only return streams that
+// The rounds re-decode only what they change (DESIGN.md §17). Each
+// round reconstructs the streams trusted since the previous round;
+// their non-zero extents, widened and closed over the decoded streams
+// they collide with (dirtyClosure), are the round's detection mask,
+// and the mask padded by the walker/window reach (laneRegions) is all
+// the residual pass can read. So the round rebuilds its residual over
+// those regions only — the retained capture minus every trusted
+// reconstruction so far, in results order — and hands the detector a
+// masked capture (edgedetect.MaskedCapture) that folds its prefix sums
+// over each region from its own zero base: every lane read is a
+// within-region difference, so the per-region base cancels. The pass
+// carries the first pass's calibration — the noise floor is a channel
+// property; subtracting decoded signal does not change it. A round
+// with no new trusted stream is skipped outright: its residual would
+// be byte-unchanged, so the re-decode could only return streams that
 // deduplicate against themselves.
-// Config.ForceFullResidual reverts every round to fresh-copy,
-// full-subtract, refold-from-origin mechanics under the same mask; the
-// decode is byte-identical either way (sic_equivalence_test.go), so
-// the A/B axis isolates exactly the carry-over machinery.
 
 // refineE re-estimates a stream's edge vector from its cleanly locked
 // slots: the registration estimate comes from a handful of early
@@ -212,52 +209,20 @@ func reconstruct(sr *StreamResult, n int, rampSamples int) []reconSeg {
 // signal.
 const sicTrust = 0.45
 
-// sicState is the cancellation loop's cross-round cache: the
-// persistent residual buffer, the subtracted-stream watermark, and the
-// latched push-path decision (residualDecode).
+// sicState is what one SIC epoch's rounds share besides the trusted
+// reconstructions: the latched push-path decision (residualDecode).
 type sicState struct {
-	residual   []complex128
-	copied     []edgedetect.Span // residual ranges materialized from retain
-	pushPath   bool              // a masked fold met an inadmissible sample
-	seen       int               // results already scanned for trusted candidates
-	subtracted int               // trusted streams folded into the residual so far
-}
-
-// ensureResidual materializes the persistent residual over the given
-// ranges: parts not yet copied from the retained capture are copied
-// now; parts copied in an earlier round keep their (subtracted)
-// values. A masked residual decode reads samples only inside the lane
-// fold regions, so the buffer is copy-on-read — O(regions), not
-// O(capture) — with the rest left unmaterialized until (if ever) a
-// push-path fallback needs the whole capture. Subtraction stays sound
-// because every subtracted range is inside some round's regions
-// (touched ⊆ active ⊆ regions), hence materialized before it is
-// subtracted and never re-copied after.
-func (st *sicState) ensureResidual(retain []complex128, ranges []edgedetect.Span) {
-	if st.residual == nil {
-		st.residual = pool.ComplexUninit(len(retain))
-	}
-	for _, r := range rangeDiff(ranges, st.copied) {
-		copy(st.residual[r.Lo:r.Hi], retain[r.Lo:r.Hi])
-	}
-	st.copied = mergeRanges(append(st.copied, ranges...))
-}
-
-func (st *sicState) release() {
-	if st.residual != nil {
-		pool.PutComplex(st.residual)
-		st.residual, st.copied = nil, nil
-	}
+	pushPath bool // a masked fold met an inadmissible sample
 }
 
 // runCancellation drives the SIC rounds at flush. Each round selects
 // the trusted streams decoded since the previous round, reconstructs
-// them, subtracts them from the residual, re-decodes it, and keeps any
-// genuinely new streams (deduplicated against the existing set, and
-// required to carry at least a real edge's worth of signal — the
-// residue of an imperfectly cancelled stream otherwise re-registers as
-// a phantom; the gate derives from the original capture's noise
-// floor).
+// them, re-decodes the residual left by every trusted stream so far,
+// and keeps any genuinely new streams (deduplicated against the
+// existing set, and required to carry at least a real edge's worth of
+// signal — the residue of an imperfectly cancelled stream otherwise
+// re-registers as a phantom; the gate derives from the original
+// capture's noise floor).
 func (sd *StreamDecoder) runCancellation() {
 	n := len(sd.retain)
 	if n == 0 {
@@ -270,29 +235,32 @@ func (sd *StreamDecoder) runCancellation() {
 	// subtraction removes signal, not noise — recalibrating on the
 	// residual would only bias the floor low (the calibration window's
 	// signal content is gone) and let cancellation residue register as
-	// phantom peaks. Shared by the incremental and ForceFullResidual
-	// paths so the A/B decode is byte-identical. A degenerate first
-	// pass (zero floor or threshold) keeps the historical
-	// recalibrate-on-residual semantics.
+	// phantom peaks. A degenerate first pass (zero floor or threshold)
+	// keeps the historical recalibrate-on-residual semantics.
 	var calib *edgedetect.CalibPreset
 	if f, th := sd.det.NoiseFloor(), sd.det.Threshold(); f > 0 && th > 0 &&
 		!math.IsInf(f, 1) && !math.IsInf(th, 1) {
 		calib = &edgedetect.CalibPreset{Floor: f, Threshold: th}
 	}
 	reach := edgedetect.SweepReach(cfg.Edge.Gap, cfg.Edge.Win)
-	st := &sicState{}
-	defer st.release()
+	ramp := int(cfg.Edge.Gap)
+	if ramp < 1 {
+		ramp = 3
+	}
+	var st sicState
+	// contribs holds every trusted stream's reconstruction so far, in
+	// results order; seen is how many results have been scanned for
+	// trusted candidates.
+	var contribs [][]reconSeg
+	seen := 0
 	for round := 0; round < cfg.CancellationRounds; round++ {
-		// Trusted candidates that appeared since the previous round.
-		// Earlier rounds' trusted streams stay subtracted in the
-		// persistent residual — they are carried, not recomputed.
 		var newTrusted []*StreamResult
-		for _, sr := range sd.results[st.seen:] {
+		for _, sr := range sd.results[seen:] {
 			if quality(sr) >= sicTrust {
 				newTrusted = append(newTrusted, sr)
 			}
 		}
-		st.seen = len(sd.results)
+		seen = len(sd.results)
 		if len(newTrusted) == 0 && minE > 0 {
 			// Empty dirty-span set: nothing new would be subtracted, so
 			// the residual is byte-unchanged and the (deterministic)
@@ -301,32 +269,22 @@ func (sd *StreamDecoder) runCancellation() {
 			// stream past the minE gate has |E| ≥ minE > 0, so zero
 			// grid-phase distance and Dist(E,E) = 0 < 0.5·|E| make it
 			// its own duplicate). Skipping the decode is provably
-			// output-identical, in both incremental and
-			// ForceFullResidual mode, so the A/B stats stay identical
-			// too. (minE = 0 — a degenerate zero-floor capture — breaks
-			// the self-dedup argument, so it keeps the historical
-			// re-decode.)
+			// output-identical. (minE = 0 — a degenerate zero-floor
+			// capture — breaks the self-dedup argument, so it keeps the
+			// historical re-decode.)
 			break
 		}
-		ramp := int(cfg.Edge.Gap)
-		if ramp < 1 {
-			ramp = 3
-		}
 		// Reconstruct the new streams in parallel (each writes only its
-		// own segment list); their non-zero extents are the samples this
-		// round's subtraction modifies.
-		contribs := make([][]reconSeg, len(newTrusted))
+		// own segment list); their non-zero extents are the samples
+		// whose residual this round changes.
+		fresh := make([][]reconSeg, len(newTrusted))
 		sd.meter.Do(sd.workers, len(newTrusted), func(i int) {
-			contribs[i] = reconstruct(newTrusted[i], n, ramp)
+			fresh[i] = reconstruct(newTrusted[i], n, ramp)
 		})
-		touched := touchedRanges(contribs)
 		// The detection mask for this round's residual pass: the touched
 		// spans widened by the sweep's cut distance, closed over the
-		// extents of already-decoded streams they interact with. Both
-		// round mechanics decode under the same mask — it is a pure
-		// function of the (shared) results — so the A/B decode stays
-		// byte-identical.
-		active := sd.dirtyClosure(touched, reach, n)
+		// extents of already-decoded streams they interact with.
+		active := sd.dirtyClosure(touchedRanges(fresh), reach, n)
 		dirty := int64(n)
 		if active != nil {
 			dirty = 0
@@ -336,21 +294,15 @@ func (sd *StreamDecoder) runCancellation() {
 		}
 		sd.m.SIC.Rounds.Inc()
 		sd.m.SIC.ResidualDecodes.Inc()
-		sd.m.SIC.CarriedStreams.Add(int64(st.subtracted))
+		sd.m.SIC.CarriedStreams.Add(int64(len(contribs)))
 		sd.m.SIC.DirtySamples.Add(dirty)
-		var res2 *Result
-		var err error
-		if cfg.ForceFullResidual {
-			res2, err = sd.fullResidualDecode(st, active, calib)
-		} else {
-			res2, err = sd.incrementalResidualDecode(st, contribs, touched, active, calib)
-		}
-		st.subtracted += len(newTrusted)
+		contribs = append(contribs, fresh...)
+		res2, err := sd.residualDecode(&st, contribs, active, calib)
 		var found []*StreamResult
 		if err == nil {
 			found = res2.Streams
 		}
-		var fresh []*StreamResult
+		var kept []*StreamResult
 		for _, nr := range found {
 			if dsp.Abs(nr.Stream.E) < minE {
 				continue // cancellation residue, not a tag
@@ -359,18 +311,18 @@ func (sd *StreamDecoder) runCancellation() {
 				continue
 			}
 			nr.Recovered = true
-			fresh = append(fresh, nr)
+			kept = append(kept, nr)
 		}
 		if sd.tracer != nil {
 			sd.tracer.Trace(obs.SpanEvent{Stage: "sic", Stream: -1,
-				Pos: sd.det.Front(), N: int64(len(fresh))})
+				Pos: sd.det.Front(), N: int64(len(kept))})
 		}
-		if len(fresh) == 0 {
+		if len(kept) == 0 {
 			break
 		}
-		sd.m.SIC.Recovered.Add(int64(len(fresh)))
-		sd.results = append(sd.results, fresh...)
-		sd.res.RecoveredStreams += len(fresh)
+		sd.m.SIC.Recovered.Add(int64(len(kept)))
+		sd.results = append(sd.results, kept...)
+		sd.res.RecoveredStreams += len(kept)
 	}
 }
 
@@ -429,76 +381,27 @@ func (sd *StreamDecoder) laneRegions(active []edgedetect.Span, n int) []edgedete
 	return mergeRanges(regions)
 }
 
-// incrementalResidualDecode is the default round mechanics: materialize
-// the persistent residual over the round's mask regions (copy-on-read),
-// subtract only the latest round's reconstructions — tiled over their
-// merged dirty ranges — and decode the residual masked to those
-// regions.
-func (sd *StreamDecoder) incrementalResidualDecode(st *sicState, contribs [][]reconSeg, touched, active []edgedetect.Span, calib *edgedetect.CalibPreset) (*Result, error) {
+// residualDecode runs one inner pipeline pass over the residual left
+// by every trusted reconstruction in contribs. The pass decodes a
+// masked capture: the residual is rebuilt into one pooled buffer over
+// the lane regions only (fillResidual), detection runs under the
+// round's mask, and prefix sums fold over those regions. It fills and
+// pushes the whole residual instead when there is no calibration to
+// carry (a masked detector cannot take its own calibration median),
+// and from the first masked fold that meets an inadmissible sample on:
+// the push path owns hold-last-finite replacement, and latching it for
+// the rest of the epoch keeps a round's decode from depending on
+// whether its mask happens to contain the bad sample. Metering or
+// tracing the pass would double-count every stage, so recovered
+// streams surface only through the SIC counters; its wall time is
+// recorded against stage.sic_ns (runtime-class).
+func (sd *StreamDecoder) residualDecode(st *sicState, contribs [][]reconSeg, active []edgedetect.Span, calib *edgedetect.CalibPreset) (*Result, error) {
 	n := len(sd.retain)
-	regions := sd.laneRegions(active, n)
-	st.ensureResidual(sd.retain, regions)
-	for _, r := range touched {
-		base := int(r.Lo)
-		sd.meter.DoRanges(sd.workers, int(r.Len()), func(clo, chi int) {
-			subtractSegs(st.residual, contribs, base+clo, base+chi)
-		})
-	}
-	return sd.residualDecode(st, st.residual, active, regions, calib)
-}
-
-// fullResidualDecode is the ForceFullResidual A/B mechanics — no
-// carry-over: reconstruct every trusted stream and subtract them all
-// from a freshly copied residual. The subtraction runs in results
-// order, so each sample sees the exact subtraction sequence the
-// incremental path accumulated round by round and the residuals are
-// bit-identical; residualDecode then folds identical lane values over
-// the same regions, takes the identical push-path decision, and
-// decodes under the same detection mask — so the A/B axis isolates
-// exactly the carry-over machinery.
-func (sd *StreamDecoder) fullResidualDecode(st *sicState, active []edgedetect.Span, calib *edgedetect.CalibPreset) (*Result, error) {
-	n := len(sd.retain)
-	ramp := int(sd.cfg.Edge.Gap)
-	if ramp < 1 {
-		ramp = 3
-	}
-	var trusted []*StreamResult
-	for _, sr := range sd.results {
-		if quality(sr) >= sicTrust {
-			trusted = append(trusted, sr)
-		}
-	}
-	contribs := make([][]reconSeg, len(trusted))
-	sd.meter.Do(sd.workers, len(trusted), func(i int) {
-		contribs[i] = reconstruct(trusted[i], n, ramp)
-	})
 	residual := pool.ComplexUninit(n)
-	copy(residual, sd.retain)
-	sd.meter.DoRanges(sd.workers, n, func(lo, hi int) {
-		subtractSegs(residual, contribs, lo, hi)
-	})
-	res2, err := sd.residualDecode(st, residual, active, sd.laneRegions(active, n), calib)
 	// The residual pass copies everything it keeps (slot observations,
 	// edge differentials, stream vectors), so the buffer can go back to
 	// the pool as soon as the decode returns.
-	pool.PutComplex(residual)
-	return res2, err
-}
-
-// residualDecode runs one inner pipeline pass over a residual, shared
-// by the incremental and ForceFullResidual mechanics so their decodes
-// stay byte-identical. The pass decodes a masked capture: detection
-// under the round's mask, prefix sums folded over its padded regions.
-// It pushes the whole residual instead when there is no calibration to
-// carry (a masked detector cannot take its own calibration median), and
-// from the first masked fold that meets an inadmissible sample on: the
-// push path owns hold-last-finite replacement, and latching it for the
-// rest of the epoch keeps the two mechanics from disagreeing on
-// marginal re-admissions. Metering or tracing the pass would
-// double-count every stage, so recovered streams surface only through
-// the SIC counters; its wall time is recorded against stage.sic_ns
-// (runtime-class).
-func (sd *StreamDecoder) residualDecode(st *sicState, residual []complex128, active, regions []edgedetect.Span, calib *edgedetect.CalibPreset) (*Result, error) {
+	defer pool.PutComplex(residual)
 	resCap := &iq.Capture{SampleRate: sd.sampleRate, Samples: residual}
 	sub := sd.cfg
 	sub.CancellationRounds = 0
@@ -509,6 +412,8 @@ func (sd *StreamDecoder) residualDecode(st *sicState, residual []complex128, act
 	ts := sd.now()
 	defer sd.observe(sd.m.Stage.SIC, ts)
 	if calib != nil && !st.pushPath {
+		regions := sd.laneRegions(active, n)
+		fillResidual(residual, sd.retain, contribs, regions, sd.meter, sd.workers)
 		sub.sicMasked = &edgedetect.MaskedCapture{Samples: residual, Active: active, Regions: regions}
 		res, err := Decode(resCap, sub)
 		if !errors.Is(err, edgedetect.ErrInadmissible) {
@@ -517,12 +422,24 @@ func (sd *StreamDecoder) residualDecode(st *sicState, residual []complex128, act
 		st.pushPath = true
 		sub.sicMasked = nil
 	}
-	if st.residual != nil {
-		// The incremental residual is copy-on-read; the push path reads
-		// all of it.
-		st.ensureResidual(sd.retain, []edgedetect.Span{{Lo: 0, Hi: int64(len(residual))}})
-	}
+	fillResidual(residual, sd.retain, contribs, []edgedetect.Span{{Lo: 0, Hi: int64(n)}}, sd.meter, sd.workers)
 	return Decode(resCap, sub)
+}
+
+// fillResidual writes retain minus every contribution, subtracted in
+// contribution order, into dst over each span; dst outside the spans
+// is left as it was. Every sample sees the same subtraction sequence
+// whatever the spans and the worker tiling, so a region-local fill is
+// bitwise equal, inside its regions, to a fill of the whole capture.
+func fillResidual(dst, retain []complex128, contribs [][]reconSeg, spans []edgedetect.Span, meter *work.Meter, workers int) {
+	for _, r := range spans {
+		base := int(r.Lo)
+		meter.DoRanges(workers, int(r.Len()), func(lo, hi int) {
+			lo, hi = base+lo, base+hi
+			copy(dst[lo:hi], retain[lo:hi])
+			subtractSegs(dst, contribs, lo, hi)
+		})
+	}
 }
 
 // subtractSegs subtracts every contribution's segments overlapping
@@ -671,31 +588,6 @@ func widenRanges(spans []edgedetect.Span, pad int64, n int) []edgedetect.Span {
 		}
 	}
 	return mergeRanges(widened)
-}
-
-// rangeDiff returns the parts of a not covered by b, both sorted
-// disjoint covers, as a sorted disjoint cover.
-func rangeDiff(a, b []edgedetect.Span) []edgedetect.Span {
-	var out []edgedetect.Span
-	bi := 0
-	for _, r := range a {
-		lo := r.Lo
-		for bi < len(b) && b[bi].Hi <= lo {
-			bi++
-		}
-		for j := bi; j < len(b) && b[j].Lo < r.Hi; j++ {
-			if b[j].Lo > lo {
-				out = append(out, edgedetect.Span{Lo: lo, Hi: b[j].Lo})
-			}
-			if b[j].Hi > lo {
-				lo = b[j].Hi
-			}
-		}
-		if lo < r.Hi {
-			out = append(out, edgedetect.Span{Lo: lo, Hi: r.Hi})
-		}
-	}
-	return out
 }
 
 // overlapsRanges reports whether e intersects any of rs.

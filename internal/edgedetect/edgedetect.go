@@ -6,11 +6,7 @@
 // contribution of every tag that did not toggle there.
 package edgedetect
 
-import (
-	"fmt"
-
-	"lf/internal/iq"
-)
+import "fmt"
 
 // Config tunes the detector.
 type Config struct {
@@ -98,69 +94,4 @@ type Edge struct {
 	// Peaks is the number of underlying detector peaks (≥2 suggests a
 	// collision even before IQ analysis).
 	Peaks int
-}
-
-// Detector detects edges over one capture and provides differential
-// measurement at arbitrary positions (used later by the Viterbi stage
-// to take soft observations at slots where no edge was detected). It
-// is the batch façade over the incremental Stream: the whole capture
-// is pushed as one block, so batch and streaming detection share one
-// pipeline by construction.
-type Detector struct {
-	cfg    Config
-	stream *Stream
-	floor  float64
-	edges  []Edge
-}
-
-// New builds a detector over a capture and runs detection. The capture
-// must be non-empty.
-func New(capture *iq.Capture, cfg Config) (*Detector, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := capture.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := NewStream(StreamConfig{Config: cfg})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Push(capture.Samples); err != nil {
-		return nil, err
-	}
-	if err := s.Close(); err != nil {
-		return nil, err
-	}
-	return &Detector{cfg: cfg, stream: s, floor: s.NoiseFloor(), edges: s.Edges()}, nil
-}
-
-// Edges returns the detected edges in increasing position.
-func (d *Detector) Edges() []Edge { return d.edges }
-
-// Release recycles the detector's sample-proportional buffers into the
-// shared scratch pool. The detector must not be used for measurement
-// (MeasureAt, MeasureAtClean) afterwards; Edges and NoiseFloor stay
-// valid. Calling Release is optional.
-func (d *Detector) Release() {
-	if d.stream != nil {
-		d.stream.Release()
-		d.stream = nil
-	}
-}
-
-// NoiseFloor returns the estimated background differential magnitude.
-func (d *Detector) NoiseFloor() float64 { return d.floor }
-
-// MeasureAt returns the IQ differential at an arbitrary sample position
-// using the default windows — the soft observation for slots where no
-// edge was detected.
-func (d *Detector) MeasureAt(pos int64) complex128 {
-	return d.stream.MeasureAt(pos)
-}
-
-// MeasureAtClean is like MeasureAt but with wider windows, for slots
-// known to be far from other activity.
-func (d *Detector) MeasureAtClean(pos int64) complex128 {
-	return d.stream.MeasureAtClean(pos)
 }

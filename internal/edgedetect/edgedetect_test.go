@@ -31,13 +31,17 @@ func capture(t *testing.T, h complex128, sigma2 float64, toggles []tag.Toggle, d
 	return ep.Capture
 }
 
+// detect runs a whole capture through a fresh Stream, pushed as one
+// block the way batch decoding does.
+func detect(t *testing.T, capture *iq.Capture, cfg Config) *Stream {
+	t.Helper()
+	return pushBlocks(t, capture.Samples, StreamConfig{Config: cfg}, len(capture.Samples))
+}
+
 func TestDetectSingleEdge(t *testing.T) {
 	h := complex(8e-4, -3e-4)
 	cap := capture(t, h, 2.5e-9, []tag.Toggle{{Time: 40e-6, State: 1}}, 80e-6)
-	det, err := New(cap, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := detect(t, cap, DefaultConfig())
 	edges := det.Edges()
 	if len(edges) != 1 {
 		t.Fatalf("detected %d edges, want 1", len(edges))
@@ -59,10 +63,7 @@ func TestFallingEdgeNegativeDiff(t *testing.T) {
 		{Time: 20e-6, State: 1},
 		{Time: 50e-6, State: 0},
 	}, 80e-6)
-	det, err := New(cap, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := detect(t, cap, DefaultConfig())
 	edges := det.Edges()
 	if len(edges) != 2 {
 		t.Fatalf("edges = %d", len(edges))
@@ -77,10 +78,7 @@ func TestFallingEdgeNegativeDiff(t *testing.T) {
 
 func TestPureNoiseYieldsFewEdges(t *testing.T) {
 	cap := capture(t, 0, 2.5e-9, nil, 200e-6)
-	det, err := New(cap, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := detect(t, cap, DefaultConfig())
 	// 5000 samples of pure noise: the 4σ-style threshold admits at
 	// most a stray detection or two.
 	if len(det.Edges()) > 3 {
@@ -104,10 +102,7 @@ func TestCoalesceCloseEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := New(ep.Capture, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := detect(t, ep.Capture, DefaultConfig())
 	edges := det.Edges()
 	if len(edges) != 1 {
 		t.Fatalf("got %d edges, want 1 coalesced", len(edges))
@@ -136,10 +131,7 @@ func TestSeparateEdgesBeyondCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := New(ep.Capture, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := detect(t, ep.Capture, DefaultConfig())
 	if len(det.Edges()) != 2 {
 		t.Fatalf("got %d edges, want 2 distinct", len(det.Edges()))
 	}
@@ -148,10 +140,7 @@ func TestSeparateEdgesBeyondCoalesce(t *testing.T) {
 func TestMeasureAtQuietPosition(t *testing.T) {
 	h := complex(8e-4, 0)
 	cap := capture(t, h, 0, []tag.Toggle{{Time: 20e-6, State: 1}}, 80e-6)
-	det, err := New(cap, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := detect(t, cap, DefaultConfig())
 	// Far from the edge the differential is ~zero.
 	if got := det.MeasureAt(1500); cmplx.Abs(got) > 1e-9 {
 		t.Fatalf("quiet measurement %v", got)
@@ -173,7 +162,11 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("sub-unity threshold accepted")
 	}
-	if _, err := New(&iq.Capture{}, DefaultConfig()); err == nil {
+	s, err := NewStream(StreamConfig{Config: DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Close() == nil {
 		t.Fatal("empty capture accepted")
 	}
 }

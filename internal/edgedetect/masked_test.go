@@ -274,3 +274,58 @@ func FuzzMaskedFold(f *testing.F) {
 		checkRegionLanes(t, s, samples, regions, 1+rng.Intn(n))
 	})
 }
+
+// TestMaskedIgnoresLaneGaps pins the contract region-local residuals
+// rely on: a masked stream never reads a lane entry between its
+// regions. Regions are the active spans padded by the widest window a
+// read can reach (Gap+MaxWin) plus slack; poisoning every lane entry
+// outside them with NaN must leave the detected edges unchanged.
+func TestMaskedIgnoresLaneGaps(t *testing.T) {
+	var toggles []tag.Toggle
+	state := byte(1)
+	for _, us := range []float64{40, 80, 200, 201, 600, 900} {
+		toggles = append(toggles, tag.Toggle{Time: us * 1e-6, State: state})
+		state = 1 - state
+	}
+	cap := capture(t, complex(8e-4, -3e-4), 2.5e-9, toggles, 1000e-6)
+	ref := pushBlocks(t, cap.Samples, StreamConfig{Config: DefaultConfig(), CalibSamples: 8192}, 4096)
+	calib := &CalibPreset{Floor: ref.NoiseFloor(), Threshold: ref.Threshold()}
+	// Tight spans around the toggles at 200/201 µs and 600 µs (25 Msps),
+	// so refinement windows reach nearly a full MaxWin outside them.
+	active := []Span{{4990, 5040}, {14990, 15010}}
+	cfg := DefaultConfig()
+	pad := cfg.Gap + cfg.MaxWin + 16
+	regions := make([]Span, len(active))
+	for i, r := range active {
+		regions[i] = Span{r.Lo - pad, r.Hi + pad}
+	}
+	edges := func(poison bool) []Edge {
+		s, err := NewStream(StreamConfig{Config: cfg, Calib: calib,
+			Masked: &MaskedCapture{Samples: cap.Samples, Active: active, Regions: regions}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Release()
+		if poison {
+			// Region [Lo, Hi) owns lane entries Lo..Hi inclusive.
+			lo := int64(0)
+			for _, r := range append(regions, Span{int64(len(s.sumsRe)), 0}) {
+				for j := lo; j < r.Lo; j++ {
+					s.sumsRe[j], s.sumsIm[j] = math.NaN(), math.NaN()
+				}
+				lo = r.Hi + 1
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return s.Edges()
+	}
+	want, got := edges(false), edges(true)
+	if len(want) < 2 {
+		t.Fatalf("masked stream detected only %d edges; the check is vacuous", len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("poisoned lane gaps changed the edges:\npoisoned: %+v\nclean:    %+v", got, want)
+	}
+}

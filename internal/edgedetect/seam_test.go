@@ -38,18 +38,12 @@ func TestChunkSeamEdgeDetectedOnce(t *testing.T) {
 
 	scfg := DefaultConfig()
 	scfg.Parallelism = 1
-	serialDet, err := New(cap, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serialDet := detect(t, cap, scfg)
 	serial := serialDet.Edges()
 
 	pcfg := DefaultConfig()
 	pcfg.Parallelism = workers
-	parallelDet, err := New(cap, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parallelDet := detect(t, cap, pcfg)
 	parallel := parallelDet.Edges()
 
 	if len(parallel) != len(toggles) {

@@ -70,10 +70,10 @@ func TestStreamBlockInvariance(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesBatchDetector pins the compatibility contract: the
-// batch Detector (which now wraps Stream) and a blockwise Stream with
-// deferred calibration produce identical edges on a noisy multi-edge
-// capture.
+// TestStreamMatchesBatchDetector pins the compatibility contract:
+// batch detection (the whole capture pushed as one block, as batch
+// Decode does) and a blockwise Stream with deferred calibration
+// produce identical edges on a noisy multi-edge capture.
 func TestStreamMatchesBatchDetector(t *testing.T) {
 	h := complex(6e-4, 4e-4)
 	var toggles []tag.Toggle
@@ -84,10 +84,7 @@ func TestStreamMatchesBatchDetector(t *testing.T) {
 	}
 	cap := capture(t, h, 2.5e-9, toggles, 600e-6)
 
-	det, err := New(cap, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	det := detect(t, cap, DefaultConfig())
 	s := pushBlocks(t, cap.Samples, StreamConfig{Config: DefaultConfig()}, 1000)
 	if !reflect.DeepEqual(det.Edges(), s.Edges()) {
 		t.Fatalf("stream edges diverged from batch detector:\nbatch:  %+v\nstream: %+v", det.Edges(), s.Edges())

@@ -9,8 +9,7 @@ package experiment
 // slots that actually carried signal, so the residual pass sweeps a
 // fraction of the listening window instead of all of it.
 // SICBenchEpoch pins one such capture; lfperf's slotted_replay workload
-// reports its SIC cost (decoder.sic_ms, decoder.sic_dirty_frac, and
-// the decoder.full_residual_rt A/B row).
+// reports its SIC cost (decoder.sic_ms and decoder.sic_dirty_frac).
 
 import (
 	"lf"

@@ -116,8 +116,8 @@ type SICMetrics struct {
 	// win.
 	DirtySamples *Counter
 	// CarriedStreams totals, over executed rounds, the trusted streams
-	// whose subtraction was carried over from earlier rounds instead of
-	// being recomputed.
+	// from earlier rounds that the round subtracted again when it
+	// rebuilt its residual.
 	CarriedStreams *Counter
 }
 

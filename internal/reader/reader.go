@@ -27,12 +27,6 @@ type EpochConfig struct {
 	EdgeSamples int
 }
 
-// DefaultEpochConfig matches the paper's reader: 25 Msps, 3-sample
-// edges, with the epoch long enough for a ~100-bit frame at 100 kbps.
-func DefaultEpochConfig() EpochConfig {
-	return EpochConfig{SampleRate: 25e6, Duration: 2e-3, EdgeSamples: 3}
-}
-
 // Validate checks the epoch configuration.
 func (c EpochConfig) Validate() error {
 	if c.SampleRate <= 0 {

@@ -93,9 +93,6 @@ func (s *Source) PPM(ppm float64) float64 {
 // Perm returns a random permutation of [0,n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
 
-// Shuffle permutes the n elements addressed by swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
 // Bit returns 0 or 1 with equal probability.
 func (s *Source) Bit() byte { return byte(s.r.Int63() & 1) }
 

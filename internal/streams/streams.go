@@ -530,11 +530,10 @@ type SlotObs struct {
 
 // EdgeSource is what the slot walker needs from an edge detector: the
 // position-ordered edge list found so far and soft IQ differential
-// measurements at arbitrary positions. Both the batch Detector and the
-// incremental detector stream satisfy it; for a stream, Edges() grows
-// between walker steps (append-only, never reordered) and MeasureAt is
-// valid for any position the caller has confirmed is inside the
-// retained sample window.
+// measurements at arbitrary positions. The incremental detector stream
+// satisfies it: Edges() grows between walker steps (append-only, never
+// reordered) and MeasureAt is valid for any position the caller has
+// confirmed is inside the retained sample window.
 type EdgeSource interface {
 	Edges() []edgedetect.Edge
 	MeasureAt(pos int64) complex128

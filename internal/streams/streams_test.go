@@ -12,8 +12,10 @@ import (
 )
 
 // scenario builds a capture+detector from tag configs with fixed
-// comparator randomness for reproducibility.
-func scenario(t *testing.T, seed int64, payload int, cfgs ...tag.Config) (*edgedetect.Detector, []*tag.Emission) {
+// comparator randomness for reproducibility: the detector has run over
+// the whole capture, pushed as one block, and stays open for
+// measurement.
+func scenario(t *testing.T, seed int64, payload int, cfgs ...tag.Config) (*edgedetect.Stream, []*tag.Emission) {
 	t.Helper()
 	src := rng.New(seed)
 	p := channel.DefaultParams()
@@ -37,8 +39,14 @@ func scenario(t *testing.T, seed int64, payload int, cfgs ...tag.Config) (*edged
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := edgedetect.New(ep.Capture, edgedetect.DefaultConfig())
+	det, err := edgedetect.NewStream(edgedetect.StreamConfig{Config: edgedetect.DefaultConfig()})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.Push(ep.Capture.Samples); err != nil {
+		t.Fatal(err)
+	}
+	if err := det.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return det, emissions

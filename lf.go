@@ -373,11 +373,11 @@ type DecoderConfig struct {
 	// only while the benchmark's edgedetect.dense_sweep_rt row sets it,
 	// and goes together with that row.
 	ForceDenseSweep bool
-	// ForceFullResidual disables incremental SIC, forcing every
-	// cancellation round to rebuild the residual capture and re-decode
-	// it from scratch. Decodes are bit-identical either way (DESIGN.md
-	// §17); the knob exists for A/B benchmarking and equivalence tests
-	// (sic_equivalence_test.go).
+	// ForceFullResidual has no effect.
+	//
+	// Deprecated: every SIC round rebuilds its residual one way. The
+	// field remains only while the benchmark's decoder.full_residual_rt
+	// row sets it, and goes together with that row.
 	ForceFullResidual bool
 	// CancellationRounds overrides successive interference cancellation:
 	// 0 keeps the default (3 rounds), negative disables. SIC needs the
@@ -513,7 +513,6 @@ func NewDecoder(cfg DecoderConfig) (*Decoder, error) {
 	dc.Parallelism = cfg.Parallelism
 	dc.CalibSamples = cfg.CalibSamples
 	dc.ViterbiWindow = cfg.ViterbiWindow
-	dc.ForceFullResidual = cfg.ForceFullResidual
 	dc.OnFrame = cfg.OnFrame
 	dc.Tracer = cfg.Tracer
 	if cfg.CancellationRounds != 0 {
