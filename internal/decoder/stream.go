@@ -137,7 +137,9 @@ func (sd *StreamDecoder) observe(t *obs.Timing, t0 time.Time) {
 }
 
 // Push feeds one block of IQ samples and advances every pipeline stage
-// as far as the new samples allow.
+// as far as the new samples allow. It keeps no reference to block: the
+// edge detector folds it into its prefix sums and cancellation appends
+// it to a retained copy.
 func (sd *StreamDecoder) Push(block []complex128) error {
 	if sd.err != nil {
 		return sd.err

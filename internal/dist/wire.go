@@ -68,14 +68,17 @@ func wireErrf(format string, args ...any) error {
 
 // writeFrame sends one frame. The payload is borrowed, not retained.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	return proto.WriteFrame(w, typ, payload)
+	frame := proto.Begin(make([]byte, 0, wire.Overhead+len(payload)), typ)
+	_, err := proto.WriteFrame(w, append(frame, payload...))
+	return err
 }
 
-// readFrame reads and verifies one frame, returning its type and
-// payload. Errors distinguish transport failures (returned verbatim,
-// e.g. io.EOF, timeouts) from framing violations (*wire.Error).
+// readFrame reads and verifies one frame into a fresh body, returning
+// its type and payload. Errors distinguish transport failures
+// (returned verbatim, e.g. io.EOF, timeouts) from framing violations
+// (*wire.Error).
 func readFrame(r io.Reader) (byte, []byte, error) {
-	return proto.ReadFrame(r)
+	return proto.ReadFrame(r, nil)
 }
 
 // wireJob is the on-wire form of one stripe assignment: the job

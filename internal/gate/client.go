@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"lf/internal/fault"
+	"lf/internal/iq"
+	"lf/internal/pool"
+	"lf/internal/wire"
 )
 
 // ErrFlushed reports that the gateway finalized the session before the
@@ -90,8 +94,14 @@ type Client struct {
 	fails   int    // consecutive failed attempts
 	rng     uint64
 
-	acked   int64        // samples the gateway has acknowledged
-	pending []complex128 // pushed but unacknowledged samples [acked, …)
+	// The unacknowledged samples [acked, …) are pending followed by
+	// block. pending lives in the client-owned storage buf; block is
+	// the rest of the caller's block, borrowed only while Push runs.
+	acked   int64
+	pending []complex128
+	block   []complex128
+	buf     []complex128
+	frame   []byte // chunk frame storage, reused for every chunk
 	done    bool
 	frames  uint32
 	fatal   error
@@ -204,7 +214,8 @@ func (c *Client) reconnect() error {
 }
 
 // handshake performs one dial + hello/welcome exchange and
-// re-synchronizes pending against the gateway's resume offset.
+// re-synchronizes the unacknowledged samples against the gateway's
+// resume offset.
 func (c *Client) handshake() error {
 	conn, err := c.cfg.Dial(c.ctx)
 	if err != nil {
@@ -212,12 +223,12 @@ func (c *Client) handshake() error {
 	}
 	conn = c.cfg.Transport.Wrap(conn, c.attempt)
 	hello := &wireHello{Version: protoVersion, Name: c.cfg.Name, Nonce: c.cfg.Nonce, Rate: c.cfg.SampleRate}
-	if err := writeFrame(conn, msgHello, hello.encode()); err != nil {
+	if err := writeMsg(conn, msgHello, hello); err != nil {
 		conn.Close()
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(c.cfg.AckTimeout))
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := proto.ReadFrame(conn, nil)
 	if err != nil {
 		conn.Close()
 		return err
@@ -262,11 +273,10 @@ func (c *Client) handshake() error {
 	adv := w.Have - c.acked
 	switch {
 	case adv == 0:
-	case adv > 0 && adv <= int64(len(c.pending)):
+	case adv > 0 && adv <= int64(c.unacked()):
 		c.cfg.Logf("gate: reader %q: resumed at %d (+%d acked while away)", c.cfg.Name, w.Have, adv)
-		c.pending = c.pending[adv:]
-		c.acked = w.Have
-	case adv > 0 && len(c.pending) == 0 && c.acked == 0:
+		c.advance(int(adv))
+	case adv > 0 && c.unacked() == 0 && c.acked == 0:
 		// A fresh client adopting an in-progress session (the reader
 		// process restarted): start at the gateway's high-water mark.
 		// The caller checks Acked() and supplies samples from there.
@@ -274,7 +284,7 @@ func (c *Client) handshake() error {
 		c.acked = w.Have
 	default:
 		conn.Close()
-		return wireErrf("welcome resume offset %d outside [%d, %d]", w.Have, c.acked, c.acked+int64(len(c.pending)))
+		return wireErrf("welcome resume offset %d outside [%d, %d]", w.Have, c.acked, c.acked+int64(c.unacked()))
 	}
 	c.conn = conn
 	return nil
@@ -285,6 +295,11 @@ func (c *Client) handshake() error {
 // chunk arrives only after the gateway has pushed it into the decoder
 // and cleared the admission gate, so gateway backpressure blocks right
 // here).
+//
+// Push borrows block for the length of the call and keeps no reference
+// to it: full chunks are framed straight from block, and only what is
+// still unacknowledged when Push returns — a sub-chunk tail, or the
+// rest after an error — is copied into the client's own buffer.
 func (c *Client) Push(block []complex128) error {
 	if c.fatal != nil {
 		return c.fatal
@@ -292,13 +307,57 @@ func (c *Client) Push(block []complex128) error {
 	if c.done {
 		return ErrFlushed
 	}
-	c.pending = append(c.pending, block...)
-	for len(c.pending) >= c.cfg.ChunkSamples {
+	c.block = block
+	defer c.keepBlock()
+	for c.unacked() >= c.cfg.ChunkSamples {
 		if err := c.sendChunk(c.cfg.ChunkSamples); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// unacked counts the samples pushed but not yet acknowledged.
+func (c *Client) unacked() int { return len(c.pending) + len(c.block) }
+
+// advance drops the first n unacknowledged samples, which the gateway
+// has acknowledged.
+func (c *Client) advance(n int) {
+	k := min(n, len(c.pending))
+	c.pending = c.pending[k:]
+	c.block = c.block[n-k:]
+	c.acked += int64(n)
+}
+
+// keepBlock ends a Push's borrow of the caller's block: its
+// unacknowledged rest is appended to pending, moving pending to the
+// front of buf (grown if need be) only when there is no room after it.
+func (c *Client) keepBlock() {
+	rest := c.block
+	c.block = nil
+	if cap(c.pending)-len(c.pending) < len(rest) {
+		c.buf = append(slices.Grow(c.buf[:0], len(c.pending)+len(rest)), c.pending...)
+		c.pending = c.buf
+	}
+	c.pending = append(c.pending, rest...)
+}
+
+// chunkFrame assembles the frame of the chunk at base whose samples
+// are head then tail in buf's storage, ready for proto.WriteFrame. A
+// buf too small for the frame goes back to internal/pool for one that
+// fits, which the client returns when it has no chunk left to send.
+func chunkFrame(buf []byte, base int64, head, tail []complex128) []byte {
+	if size := wire.Overhead + chunkHeaderLen + iq.SampleSize*(len(head)+len(tail)); cap(buf) < size {
+		pool.PutBytes(buf)
+		buf = pool.BytesUninit(size)
+	}
+	return appendChunk(proto.Begin(buf, msgChunk), base, head, tail)
+}
+
+// releaseFrame returns the chunk frame storage to internal/pool.
+func (c *Client) releaseFrame() {
+	pool.PutBytes(c.frame)
+	c.frame = nil
 }
 
 // sendChunk ships up to n pending samples and waits for the ack,
@@ -311,8 +370,8 @@ func (c *Client) sendChunk(n int) error {
 		if c.done {
 			return ErrFlushed
 		}
-		if n > len(c.pending) {
-			n = len(c.pending)
+		if n > c.unacked() {
+			n = c.unacked()
 		}
 		if n == 0 {
 			return nil
@@ -323,14 +382,16 @@ func (c *Client) sendChunk(n int) error {
 			}
 			continue // done/pending may have changed
 		}
-		chunk := &wireChunk{Base: c.acked, Samples: c.pending[:n]}
-		if err := writeFrame(c.conn, msgChunk, chunk.encode()); err != nil {
+		head := c.pending[:min(n, len(c.pending))]
+		frame := chunkFrame(c.frame, c.acked, head, c.block[:n-len(head)])
+		var err error
+		if c.frame, err = proto.WriteFrame(c.conn, frame); err != nil {
 			c.cfg.Logf("gate: reader %q: send: %v", c.cfg.Name, err)
 			c.dropConn()
 			continue
 		}
 		c.conn.SetReadDeadline(time.Now().Add(c.cfg.AckTimeout))
-		typ, payload, err := readFrame(c.conn)
+		typ, payload, err := proto.ReadFrame(c.conn, nil)
 		if err != nil {
 			c.cfg.Logf("gate: reader %q: await ack: %v", c.cfg.Name, err)
 			c.dropConn()
@@ -344,12 +405,11 @@ func (c *Client) sendChunk(n int) error {
 				continue
 			}
 			adv := a.Have - c.acked
-			if adv < 0 || adv > int64(len(c.pending)) {
+			if adv < 0 || adv > int64(c.unacked()) {
 				c.dropConn()
 				continue
 			}
-			c.pending = c.pending[adv:]
-			c.acked = a.Have
+			c.advance(int(adv))
 			return nil
 		case msgErr:
 			em, derr := decodeErrMsg(payload)
@@ -382,6 +442,7 @@ func (c *Client) End() (int, error) {
 			return int(c.frames), err
 		}
 	}
+	c.releaseFrame()
 	for {
 		if c.fatal != nil {
 			return int(c.frames), c.fatal
@@ -397,13 +458,12 @@ func (c *Client) End() (int, error) {
 			}
 			continue
 		}
-		end := &wireEnd{Total: c.acked}
-		if err := writeFrame(c.conn, msgEnd, end.encode()); err != nil {
+		if err := writeMsg(c.conn, msgEnd, &wireEnd{Total: c.acked}); err != nil {
 			c.dropConn()
 			continue
 		}
 		c.conn.SetReadDeadline(time.Now().Add(c.cfg.AckTimeout))
-		typ, payload, err := readFrame(c.conn)
+		typ, payload, err := proto.ReadFrame(c.conn, nil)
 		if err != nil {
 			c.dropConn()
 			continue
@@ -445,5 +505,6 @@ func (c *Client) Acked() int64 { return c.acked }
 // flushed best-effort.
 func (c *Client) Close() error {
 	c.dropConn()
+	c.releaseFrame()
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"lf"
 	"lf/internal/fault"
 	"lf/internal/obs"
+	"lf/internal/pool"
 )
 
 // Config tunes the gateway.
@@ -290,7 +291,7 @@ func (g *Gateway) serve(conn net.Conn) {
 	}()
 
 	conn.SetReadDeadline(time.Now().Add(g.cfg.IdleTimeout))
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := proto.ReadFrame(conn, nil)
 	if err != nil || typ != msgHello {
 		return
 	}
@@ -300,64 +301,67 @@ func (g *Gateway) serve(conn net.Conn) {
 	}
 	if hello.Version != protoVersion {
 		e := &wireErrMsg{Msg: fmt.Sprintf("gate: protocol version %d, want %d", hello.Version, protoVersion)}
-		writeFrame(conn, msgErr, e.encode())
+		writeMsg(conn, msgErr, e)
 		return
 	}
 	s, welcome, err := g.attach(hello, conn)
 	if err != nil {
-		e := &wireErrMsg{Msg: err.Error()}
-		writeFrame(conn, msgErr, e.encode())
+		writeMsg(conn, msgErr, &wireErrMsg{Msg: err.Error()})
 		return
 	}
 	defer g.detach(s, conn)
-	if err := writeFrame(conn, msgWelcome, welcome.encode()); err != nil {
+	if err := writeMsg(conn, msgWelcome, welcome); err != nil {
 		return
 	}
 	g.cfg.Logf("gate: reader %q capture %x attached from %s (resume at %d)", s.name, s.nonce, conn.RemoteAddr(), welcome.Have)
 
 	for {
+		// Frame bodies and chunk samples come from internal/pool after a
+		// frame's header has arrived and go back as soon as they are
+		// consumed, so an idle connection holds neither.
 		conn.SetReadDeadline(time.Now().Add(g.cfg.IdleTimeout))
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := proto.ReadFrame(conn, pool.BytesUninit)
 		if err != nil {
+			pool.PutBytes(payload)
 			return
 		}
 		switch typ {
 		case msgChunk:
-			c, err := decodeChunk(payload)
+			c, err := decodeChunk(payload, pool.ComplexUninit)
+			pool.PutBytes(payload)
 			if err != nil {
 				g.cfg.Logf("gate: reader %q: %v", s.name, err)
 				return
 			}
 			have, err := g.pushChunk(s, conn, c)
+			pool.PutComplex(c.Samples)
 			if err != nil {
 				if s.isFailed() {
-					e := &wireErrMsg{Msg: err.Error()}
-					writeFrame(conn, msgErr, e.encode())
+					writeMsg(conn, msgErr, &wireErrMsg{Msg: err.Error()})
 				}
 				return
 			}
-			ack := &wireAck{Have: have}
-			if err := writeFrame(conn, msgAck, ack.encode()); err != nil {
+			if err := writeMsg(conn, msgAck, &wireAck{Have: have}); err != nil {
 				return
 			}
 		case msgEnd:
 			end, err := decodeEnd(payload)
+			pool.PutBytes(payload)
 			if err != nil {
 				return
 			}
 			frames, err := g.endSession(s, conn, end.Total)
 			if err != nil {
 				if s.isFailed() {
-					e := &wireErrMsg{Msg: err.Error()}
-					writeFrame(conn, msgErr, e.encode())
+					writeMsg(conn, msgErr, &wireErrMsg{Msg: err.Error()})
 				}
 				return
 			}
-			done := &wireDone{Frames: frames}
-			if err := writeFrame(conn, msgDone, done.encode()); err != nil {
+			if err := writeMsg(conn, msgDone, &wireDone{Frames: frames}); err != nil {
 				return
 			}
 		default:
+			pool.PutBytes(payload)
 			g.cfg.Logf("gate: reader %q sent unexpected frame type %d", s.name, typ)
 			return
 		}
@@ -439,7 +443,7 @@ func (g *Gateway) detach(s *session, conn net.Conn) {
 // while the session's RetainedBytes sits at or above MaxRetained the
 // chunk waits (and with it the ack, and with that the reader), up to
 // MaxThrottle. Returns the new cumulative high-water mark.
-func (g *Gateway) pushChunk(s *session, conn net.Conn, c *wireChunk) (int64, error) {
+func (g *Gateway) pushChunk(s *session, conn net.Conn, c wireChunk) (int64, error) {
 	// Admission: poll the retained-bytes signal without holding the
 	// session lock for longer than a read, so a reconnect can still
 	// steal the session away from a throttled connection.

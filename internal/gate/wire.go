@@ -80,16 +80,16 @@ func wireErrf(format string, args ...any) error {
 	return proto.Errf(format, args...)
 }
 
-// writeFrame sends one frame. The payload is borrowed, not retained.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	return proto.WriteFrame(w, typ, payload)
-}
+// message is a payload codec's encoding side: appendTo appends the
+// message's payload to b.
+type message interface{ appendTo(b []byte) []byte }
 
-// readFrame reads and verifies one frame, returning its type and
-// payload. Errors distinguish transport failures (returned verbatim)
-// from framing violations (*wire.Error).
-func readFrame(r io.Reader) (byte, []byte, error) {
-	return proto.ReadFrame(r)
+// writeMsg sends m as one frame of type typ, assembled in place in a
+// fresh buffer. Control frames are small; chunk frames are built in
+// the client's reused buffer by chunkFrame instead.
+func writeMsg(w io.Writer, typ byte, m message) error {
+	_, err := proto.WriteFrame(w, m.appendTo(proto.Begin(nil, typ)))
+	return err
 }
 
 // wireHello opens (or resumes) a session. Nonce distinguishes captures
@@ -102,8 +102,8 @@ type wireHello struct {
 	Rate    float64
 }
 
-func (h *wireHello) encode() []byte {
-	var e wire.Enc
+func (h *wireHello) appendTo(b []byte) []byte {
+	e := wire.Enc{B: b}
 	e.U32(h.Version)
 	e.Str(h.Name)
 	e.U64(h.Nonce)
@@ -136,8 +136,8 @@ type wireWelcome struct {
 	Msg     string
 }
 
-func (w *wireWelcome) encode() []byte {
-	var e wire.Enc
+func (w *wireWelcome) appendTo(b []byte) []byte {
+	e := wire.Enc{B: b}
 	e.U32(w.Version)
 	e.I64(w.Have)
 	e.U8(w.State)
@@ -163,39 +163,53 @@ func decodeWelcome(p []byte) (*wireWelcome, error) {
 // is strictly in-order, so Base must equal the session's current
 // high-water mark (the welcome frame told the reader where that is).
 // The samples are encoded as an LFIQ payload (iq.AppendSamples,
-// iq.GetSamples): one memory copy each way on little-endian hosts.
+// iq.GetSamples). Each side moves a chunk's samples once: the reader
+// encodes them from the pushed block into its reused frame buffer
+// (appendChunk), and the gateway decodes them from a pooled frame body
+// into pooled samples (decodeChunk) — one memory copy each on
+// little-endian hosts.
 type wireChunk struct {
 	Base    int64
 	Samples []complex128
 }
 
-func (c *wireChunk) encode() []byte {
-	e := wire.Enc{B: make([]byte, 0, 12+iq.SampleSize*len(c.Samples))}
-	e.I64(c.Base)
-	e.U32(uint32(len(c.Samples)))
-	return iq.AppendSamples(e.B, c.Samples)
+// chunkHeaderLen is a chunk payload's size before its samples: Base
+// and the sample count.
+const chunkHeaderLen = 8 + 4
+
+// appendChunk appends the payload of a chunk at base whose samples are
+// head followed by tail, so a chunk that straddles two slices is
+// encoded in one pass without joining them first.
+func appendChunk(b []byte, base int64, head, tail []complex128) []byte {
+	e := wire.Enc{B: b}
+	e.I64(base)
+	e.U32(uint32(len(head) + len(tail)))
+	return iq.AppendSamples(iq.AppendSamples(e.B, head), tail)
 }
 
-func decodeChunk(p []byte) (*wireChunk, error) {
+// decodeChunk decodes a chunk payload into samples from get(count) —
+// the gateway passes pool.ComplexUninit and hands the samples back
+// with pool.PutComplex once the decoder has copied them. The declared
+// count is checked against the payload before get is called, so a
+// corrupt count can neither read out of bounds nor take (or allocate)
+// a buffer.
+func decodeChunk(p []byte, get func(n int) []complex128) (wireChunk, error) {
 	d := wire.NewDec(p)
 	base := d.I64()
 	n := d.U32()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return wireChunk{}, err
 	}
 	if base < 0 {
-		return nil, wireErrf("chunk: negative base %d", base)
+		return wireChunk{}, wireErrf("chunk: negative base %d", base)
 	}
 	if n > maxChunkSamples {
-		return nil, wireErrf("chunk: %d samples exceeds max %d", n, maxChunkSamples)
+		return wireChunk{}, wireErrf("chunk: %d samples exceeds max %d", n, maxChunkSamples)
 	}
-	// Bound the declared count against the remaining payload before
-	// allocating, so a corrupt count can neither read out of bounds nor
-	// allocate gigabytes.
 	if uint64(len(d.B)) != uint64(n)*iq.SampleSize {
-		return nil, wireErrf("chunk: %d samples but %d payload bytes", n, len(d.B))
+		return wireChunk{}, wireErrf("chunk: %d samples but %d payload bytes", n, len(d.B))
 	}
-	c := &wireChunk{Base: base, Samples: make([]complex128, n)}
+	c := wireChunk{Base: base, Samples: get(int(n))}
 	iq.GetSamples(c.Samples, d.B)
 	return c, nil
 }
@@ -204,8 +218,8 @@ func decodeChunk(p []byte) (*wireChunk, error) {
 // gateway-side and will never be asked for again.
 type wireAck struct{ Have int64 }
 
-func (a *wireAck) encode() []byte {
-	var e wire.Enc
+func (a *wireAck) appendTo(b []byte) []byte {
+	e := wire.Enc{B: b}
 	e.I64(a.Have)
 	return e.B
 }
@@ -226,8 +240,8 @@ func decodeAck(p []byte) (*wireAck, error) {
 // final flush.
 type wireEnd struct{ Total int64 }
 
-func (a *wireEnd) encode() []byte {
-	var e wire.Enc
+func (a *wireEnd) appendTo(b []byte) []byte {
+	e := wire.Enc{B: b}
 	e.I64(a.Total)
 	return e.B
 }
@@ -248,8 +262,8 @@ func decodeEnd(p []byte) (*wireEnd, error) {
 // capture.
 type wireDone struct{ Frames uint32 }
 
-func (a *wireDone) encode() []byte {
-	var e wire.Enc
+func (a *wireDone) appendTo(b []byte) []byte {
+	e := wire.Enc{B: b}
 	e.U32(a.Frames)
 	return e.B
 }
@@ -267,8 +281,8 @@ func decodeDone(p []byte) (*wireDone, error) {
 // the one thing reconnecting cannot fix).
 type wireErrMsg struct{ Msg string }
 
-func (a *wireErrMsg) encode() []byte {
-	var e wire.Enc
+func (a *wireErrMsg) appendTo(b []byte) []byte {
+	e := wire.Enc{B: b}
 	e.Str(a.Msg)
 	return e.B
 }

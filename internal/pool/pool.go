@@ -96,7 +96,7 @@ func PutFloat(buf []float64) {
 }
 
 // Bytes returns a zeroed []byte of length n (capture-container IO
-// blocks).
+// blocks, reader-gateway frame bodies).
 func Bytes(n int) []byte {
 	if v := bytePool.Get(); v != nil {
 		buf := *v.(*[]byte)
@@ -109,7 +109,20 @@ func Bytes(n int) []byte {
 	return make([]byte, n)
 }
 
-// PutBytes recycles a buffer obtained from Bytes.
+// BytesUninit is Bytes without the clear, for callers that overwrite
+// every byte before reading it — e.g. a frame body read straight off a
+// connection.
+func BytesUninit(n int) []byte {
+	if v := bytePool.Get(); v != nil {
+		buf := *v.(*[]byte)
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// PutBytes recycles a buffer obtained from Bytes or BytesUninit.
 func PutBytes(buf []byte) {
 	if cap(buf) >= minRetain {
 		bytePool.Put(&buf)

@@ -51,3 +51,14 @@ func TestTinyBuffersNotRetained(t *testing.T) {
 	PutComplex(nil)
 	PutBytes(make([]byte, 16))
 }
+
+func TestBytesUninitLengthAndGrowth(t *testing.T) {
+	PutBytes(make([]byte, 2048))
+	if b := BytesUninit(100); len(b) != 100 {
+		t.Fatalf("len = %d", len(b))
+	}
+	PutBytes(make([]byte, 2048))
+	if b := BytesUninit(1 << 16); len(b) != 1<<16 {
+		t.Fatalf("len = %d after a too-small pooled buffer", len(b))
+	}
+}

@@ -60,25 +60,48 @@ func (p Proto) Errf(format string, args ...any) error {
 	return &Error{proto: p.Name, msg: fmt.Sprintf(format, args...)}
 }
 
-// WriteFrame sends one frame. The payload is borrowed, not retained.
-func (p Proto) WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > p.MaxPayload {
-		return p.Errf("payload %d exceeds max %d", len(payload), p.MaxPayload)
+// Overhead is the framing's fixed cost: a frame is Overhead bytes
+// longer than its payload.
+const Overhead = headerLen + trailerLen
+
+// Begin starts a frame of type typ in buf's storage: it returns
+// buf[:0] extended by the frame header, after which the caller appends
+// the payload and hands the result to WriteFrame. A nil buf starts a
+// fresh one.
+func (p Proto) Begin(buf []byte, typ byte) []byte {
+	return append(buf[:0], p.Magic0, p.Magic1, typ, 0, 0, 0, 0)
+}
+
+// WriteFrame completes a frame assembled in place on Begin — it
+// patches the payload length into the header and appends the CRC
+// trailer — and sends it in one Write. It returns the frame's storage
+// for the next Begin, so a caller that keeps it builds every frame in
+// one reused buffer.
+func (p Proto) WriteFrame(w io.Writer, frame []byte) ([]byte, error) {
+	n := len(frame) - headerLen
+	if n < 0 || frame[0] != p.Magic0 || frame[1] != p.Magic1 {
+		return frame, p.Errf("frame not started with Begin")
 	}
-	buf := make([]byte, headerLen+len(payload)+trailerLen)
-	buf[0], buf[1], buf[2] = p.Magic0, p.Magic1, typ
-	binary.LittleEndian.PutUint32(buf[3:], uint32(len(payload)))
-	copy(buf[headerLen:], payload)
-	crc := crc32.ChecksumIEEE(buf[2 : headerLen+len(payload)])
-	binary.LittleEndian.PutUint32(buf[headerLen+len(payload):], crc)
-	_, err := w.Write(buf)
-	return err
+	if n > p.MaxPayload {
+		return frame, p.Errf("payload %d exceeds max %d", n, p.MaxPayload)
+	}
+	binary.LittleEndian.PutUint32(frame[3:], uint32(n))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[2:]))
+	_, err := w.Write(frame)
+	return frame, err
 }
 
 // ReadFrame reads and verifies one frame, returning its type and
 // payload. Errors distinguish transport failures (returned verbatim,
 // e.g. io.EOF, timeouts) from framing violations (*wire.Error).
-func (p Proto) ReadFrame(r io.Reader) (byte, []byte, error) {
+//
+// The body is read into get(size), called once the header has been
+// verified and the declared length bounded by MaxPayload, so a caller
+// that recycles bodies holds no buffer while it waits for a frame; nil
+// get allocates a fresh body. The payload aliases that buffer and
+// keeps its capacity, so the caller can recycle the payload slice
+// itself once it has decoded it.
+func (p Proto) ReadFrame(r io.Reader, get func(size int) []byte) (byte, []byte, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -90,16 +113,22 @@ func (p Proto) ReadFrame(r io.Reader) (byte, []byte, error) {
 	if int64(n) > int64(p.MaxPayload) {
 		return 0, nil, p.Errf("payload length %d exceeds max %d", n, p.MaxPayload)
 	}
-	body := make([]byte, int(n)+trailerLen)
+	size := int(n) + trailerLen
+	var body []byte
+	if get != nil {
+		body = get(size)[:size]
+	} else {
+		body = make([]byte, size)
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+		return 0, body[:0], err
 	}
 	crc := crc32.ChecksumIEEE(hdr[2:])
 	crc = crc32.Update(crc, crc32.IEEETable, body[:n])
 	if got := binary.LittleEndian.Uint32(body[n:]); got != crc {
-		return 0, nil, p.Errf("crc mismatch on type %d frame", hdr[2])
+		return 0, body[:0], p.Errf("crc mismatch on type %d frame", hdr[2])
 	}
-	return hdr[2], body[:n:n], nil
+	return hdr[2], body[:n], nil
 }
 
 // Enc is a little append-based payload encoder.

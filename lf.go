@@ -592,7 +592,10 @@ func (d *Decoder) NewStream() (*StreamDecoder, error) {
 	return &StreamDecoder{sd: sd, d: d, p: p}, nil
 }
 
-// Push feeds one block of IQ samples.
+// Push feeds one block of IQ samples. It copies what it needs and
+// keeps no reference to block, so the caller may overwrite or recycle
+// block as soon as Push returns (the reader gateway decodes each chunk
+// into a pooled buffer and recycles it right after Push).
 func (s *StreamDecoder) Push(block []complex128) error { return s.sd.Push(block) }
 
 // Flush marks end of capture, drains the pipeline, and returns the

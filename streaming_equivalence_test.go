@@ -2,6 +2,7 @@ package lf_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -213,6 +214,61 @@ func TestStageGraphShutdown(t *testing.T) {
 	cfg.CalibSamples = 32768
 	cfg.PipelineParallelism = 2
 	checkLifecycle(t, ep.Capture.Samples, cfg, "pipeline=2")
+}
+
+// TestStreamPushKeepsNoReference pins the buffer contract of
+// StreamDecoder.Push that the reader gateway's recycled sample buffers
+// rely on: Push copies what it needs and keeps no reference to its
+// block. Every block is pushed from one reused buffer that is poisoned
+// with NaN the moment Push returns; the decode must equal a clean one
+// exactly — with cancellation on (it retains the raw capture) and off,
+// at the gateway's chunk size and at an unaligned one.
+func TestStreamPushKeepsNoReference(t *testing.T) {
+	nan := complex(math.NaN(), math.NaN())
+	for _, tags := range []int{16, 8} {
+		ep, base := buildEpoch(t, tags, 3)
+		for _, sic := range []bool{true, false} {
+			cfg := base
+			cfg.CalibSamples = 32768
+			if !sic {
+				cfg.CancellationRounds = -1
+			}
+			for _, block := range []int{1000, 8192} {
+				t.Run(fmt.Sprintf("tags=%d/sic=%v/block=%d", tags, sic, block), func(t *testing.T) {
+					clean, _ := streamDecodeSamples(t, ep.Capture.Samples, cfg, block)
+					if len(clean.Streams) == 0 {
+						t.Fatal("vacuous: clean decode found no streams")
+					}
+					dec, err := lf.NewDecoder(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sd, err := dec.NewStream()
+					if err != nil {
+						t.Fatal(err)
+					}
+					buf := make([]complex128, block)
+					samples := ep.Capture.Samples
+					for lo := 0; lo < len(samples); lo += block {
+						n := copy(buf, samples[lo:])
+						if err := sd.Push(buf[:n]); err != nil {
+							t.Fatal(err)
+						}
+						for i := range buf {
+							buf[i] = nan
+						}
+					}
+					poisoned, err := sd.Flush()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(clean, poisoned) {
+						t.Fatal("overwriting pushed blocks after Push changed the decode")
+					}
+				})
+			}
+		}
+	}
 }
 
 // streamDecodeSamples is streamDecode over explicit samples, returning
