@@ -284,3 +284,93 @@ func Abs(x complex128) float64 { return math.Hypot(real(x), imag(x)) }
 
 // Dist returns the Euclidean distance between two complex points.
 func Dist(a, b complex128) float64 { return Abs(a - b) }
+
+// The distance screen answers Dist comparisons from squared distances
+// and calls the exact Dist only where the squares cannot decide: inside
+// a relative band distBand around r², for radii outside
+// [distMinRadius, distMaxRadius] (underflow, overflow, NaN), and for a
+// NaN square. An overflowed square still proves the distance beyond
+// any such radius. DESIGN.md §12 "Distance screen" has the bound.
+const (
+	distBand      = 0x1p-40
+	distMinRadius = 0x1p-450 // r² ≥ distSqFloor, a normal float
+	distMaxRadius = 0x1p500  // r²·(1+distBand) stays finite
+	distSqFloor   = 0x1p-900
+)
+
+// DistSq returns the squared distance screen of a and b: the squares of
+// the difference Dist takes, summed, with no Hypot.
+func DistSq(a, b complex128) float64 {
+	d := a - b
+	return real(d)*real(d) + imag(d)*imag(d)
+}
+
+// distBounds returns the screen's squared-distance bounds for radius r:
+// DistSq < lo proves Dist ≤ r and DistSq > hi proves Dist > r. For a
+// radius outside the screened range lo = −1 and hi = +Inf, so every
+// comparison goes to the exact Dist.
+func distBounds(r float64) (lo, hi float64) {
+	if !(r >= distMinRadius && r <= distMaxRadius) {
+		return -1, math.Inf(1)
+	}
+	r2 := r * r
+	return r2 * (1 - distBand), r2 * (1 + distBand)
+}
+
+// distSide classifies Dist(a, b) against r from DistSq alone: −1 when
+// Dist ≤ r is proved, +1 when Dist > r is proved, and 0 when only the
+// exact Dist can tell.
+func distSide(a, b complex128, r float64) int {
+	lo, hi := distBounds(r)
+	switch s := DistSq(a, b); {
+	case s < lo:
+		return -1
+	case s > hi:
+		return 1
+	}
+	return 0
+}
+
+// DistWithin reports Dist(a, b) <= r, bit for bit, computing the exact
+// Dist only where the squared distance cannot decide. Like the plain
+// comparison it is false when the distance or r is NaN.
+func DistWithin(a, b complex128, r float64) bool {
+	if side := distSide(a, b, r); side != 0 {
+		return side < 0
+	}
+	return Dist(a, b) <= r
+}
+
+// DistBeyond reports Dist(a, b) > r the same way. It is not
+// !DistWithin: both are false when the distance or r is NaN.
+func DistBeyond(a, b complex128, r float64) bool {
+	if side := distSide(a, b, r); side != 0 {
+		return side > 0
+	}
+	return Dist(a, b) > r
+}
+
+// CountWithinPM counts the points within r of c or of −c — those for
+// which DistWithin(q, c, r) || DistWithin(q, -c, r) — with the screen
+// inlined into one loop, for all-pairs counts where a call per
+// comparison would cost more than the Hypot it saves.
+func CountWithinPM(points []complex128, c complex128, r float64) int {
+	lo, hi := distBounds(r)
+	nc := -c
+	n := 0
+	for _, q := range points {
+		if s := DistSq(q, c); s < lo || !(s > hi) && Dist(q, c) <= r {
+			n++
+		} else if s := DistSq(q, nc); s < lo || !(s > hi) && Dist(q, nc) <= r {
+			n++
+		}
+	}
+	return n
+}
+
+// DistSqCut bounds a nearest-neighbour search run on squared distances.
+// Given m, the smallest DistSq among a set of candidates, a candidate
+// whose DistSq is above DistSqCut(m) is strictly farther by Dist than
+// the one at m, so it cannot hold the exact minimum Dist; the rest,
+// NaN squares included, must be compared exactly.
+func DistSqCut(m float64) float64 { return max(m*(1+distBand), distSqFloor) }

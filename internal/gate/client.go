@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -331,15 +330,30 @@ func (c *Client) advance(n int) {
 
 // keepBlock ends a Push's borrow of the caller's block: its
 // unacknowledged rest is appended to pending, moving pending to the
-// front of buf (grown if need be) only when there is no room after it.
+// front of buf only when there is no room after it. A buf too small
+// is swapped for one from internal/pool of at least a chunk, or twice
+// its size, which the client returns when its tail is drained.
 func (c *Client) keepBlock() {
 	rest := c.block
 	c.block = nil
 	if cap(c.pending)-len(c.pending) < len(rest) {
-		c.buf = append(slices.Grow(c.buf[:0], len(c.pending)+len(rest)), c.pending...)
-		c.pending = c.buf
+		if need := len(c.pending) + len(rest); cap(c.buf) < need {
+			buf := pool.ComplexUninit(max(need, c.cfg.ChunkSamples, 2*cap(c.buf)))
+			c.pending = append(buf[:0], c.pending...)
+			pool.PutComplex(c.buf)
+			c.buf = buf
+		} else {
+			c.pending = append(c.buf[:0], c.pending...)
+		}
 	}
 	c.pending = append(c.pending, rest...)
+}
+
+// releaseTail returns the tail storage to internal/pool, dropping
+// whatever is still pending.
+func (c *Client) releaseTail() {
+	pool.PutComplex(c.buf)
+	c.buf, c.pending = nil, nil
 }
 
 // chunkFrame assembles the frame of the chunk at base whose samples
@@ -443,6 +457,7 @@ func (c *Client) End() (int, error) {
 		}
 	}
 	c.releaseFrame()
+	c.releaseTail()
 	for {
 		if c.fatal != nil {
 			return int(c.frames), c.fatal
@@ -502,9 +517,16 @@ func (c *Client) Acked() int64 { return c.acked }
 
 // Close drops the connection without ending the capture; the session
 // stays resumable gateway-side until FlushAfter elapses, then is
-// flushed best-effort.
+// flushed best-effort. It returns the client's buffers to
+// internal/pool, so Push and End fail afterwards.
 func (c *Client) Close() error {
 	c.dropConn()
 	c.releaseFrame()
+	c.releaseTail()
+	if c.fatal == nil {
+		c.fatal = errClientClosed
+	}
 	return nil
 }
+
+var errClientClosed = errors.New("gate: client closed")

@@ -162,9 +162,12 @@ func bytesPerRun(runs int, f func()) uint64 {
 // sides against per-chunk allocation: the reader building an
 // 8192-sample chunk frame in its reused buffer, and the gateway reading
 // that frame into a pooled body and decoding it into pooled samples.
-// Either side allocating a chunk-sized buffer (~128 KiB) again would
-// read far above the 1 KiB bound. Skipped under -race, where sync.Pool
-// drops items at random.
+// It also guards the reader's per-session tail: keeping a sub-chunk
+// tail and releasing it at the end of a session must recycle the
+// storage through internal/pool, not allocate it for every session.
+// Any of these allocating a chunk- or tail-sized buffer (~48-128 KiB)
+// again would read far above the 1 KiB bound. Skipped under -race,
+// where sync.Pool drops items at random.
 func TestIngestChunkAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -178,6 +181,20 @@ func TestIngestChunkAllocs(t *testing.T) {
 	build := func() { frame = chunkFrame(frame, 4096, samples[:1000], samples[1000:]) }
 	if b := bytesPerRun(100, build); b >= maxBytes {
 		t.Errorf("reader chunk frame build allocates %d B per chunk, want < %d", b, maxBytes)
+	}
+	session := func() {
+		c := &Client{cfg: ClientConfig{ChunkSamples: n}}
+		c.block = samples[:3000]
+		c.keepBlock()
+		c.block = samples[3000:5000]
+		c.keepBlock()
+		if len(c.pending) != 5000 || c.pending[4999] != samples[4999] {
+			t.Fatalf("tail holds %d samples", len(c.pending))
+		}
+		c.releaseTail()
+	}
+	if b := bytesPerRun(100, session); b >= maxBytes {
+		t.Errorf("reader session tail allocates %d B per session, want < %d", b, maxBytes)
 	}
 
 	var wire bytes.Buffer

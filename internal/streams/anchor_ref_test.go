@@ -20,7 +20,7 @@ func anchorScanExhaustive(edges []edgedetect.Edge, offset, period float64, gens 
 	missPenalty, minScore := headGate(gens, target, shadowed, cfg)
 	occ := func(pos float64, slotsAway int) bool {
 		tol := float64(cfg.PosTol) + 2 + math.Abs(float64(slotsAway))*period*cfg.DriftPPM/1e6
-		return eOccupied(edges, pos, tol, gens, target, nil)
+		return eOccupied(edges, new(int), pos, tol, gens, target, nil)
 	}
 	canSkip := cfg.PreambleLen*missPenalty+3 < minScore
 	tolMax := float64(cfg.PosTol) + 2 + float64(cfg.PreambleLen)*period*cfg.DriftPPM/1e6

@@ -1,9 +1,7 @@
 package streams
 
 import (
-	"fmt"
 	"math"
-	"os"
 	"sort"
 
 	"lf/internal/dsp"
@@ -28,9 +26,6 @@ import (
 // antipodal clusters ±e, a merged pair yields the ±e₁, ±e₂, ±e₁±e₂
 // lattice — so each peak is vector-analyzed and may register as two
 // streams sharing a grid.
-
-// eyeDebug enables stderr tracing of eye registration (development).
-var eyeDebug = os.Getenv("LF_EYE_DEBUG") != ""
 
 // eyeParams derives the folding window and thresholds for one period.
 type eyeParams struct {
@@ -67,50 +62,48 @@ func eyeParamsFor(period float64, cfg Config, maxSlots int) eyeParams {
 	}
 }
 
+// eyePass is one rate's eye registration over a shared edge list and
+// used mask. The fold — which edges lie inside the folding window, and
+// each one's phase and phase bin — does not change while the pass
+// runs, so it is computed once; every peak search and region
+// collection reads it.
+type eyePass struct {
+	edges       []edgedetect.Edge
+	used        []bool
+	rate        float64
+	period      float64
+	ep          eyeParams
+	cfg         Config
+	payloadBits int
+	src         *rng.Source
+
+	bins    int
+	win     []int     // indices of the edges inside the folding window
+	phase   []float64 // win[k]'s position modulo period
+	bin     []int     // win[k]'s phase bin
+	counts  []int     // per-bin count of unused folded edges
+	blocked []bool    // peak bins whose region failed to validate
+}
+
 // eyeRegister finds streams of the given rate among unused edges by
 // phase folding. Found streams' edges are consumed; regions that fail
 // to validate are blocked (not consumed — their edges may belong to a
 // slower rate folded onto one phase).
 func eyeRegister(edges []edgedetect.Edge, used []bool, rate float64, cfg Config, payloadBits int, src *rng.Source) []*Stream {
 	period := cfg.SampleRate / rate
-	maxSlots := FrameSlots(cfg, payloadBits)
-	ep := eyeParamsFor(period, cfg, maxSlots)
+	ep := eyeParamsFor(period, cfg, FrameSlots(cfg, payloadBits))
 	bins := int(period / ep.binWidth)
-	blocked := make([]bool, bins+1)
-	if eyeDebug {
-		unused := 0
-		for i := range edges {
-			if !used[i] {
-				unused++
-			}
-		}
-		fmt.Fprintf(os.Stderr, "eyeRegister rate %.0f: %d unused edges, bins %d, window %.0f, minHits %d\n",
-			rate, unused, bins, ep.windowPos, ep.minHits)
+	p := &eyePass{
+		edges: edges, used: used, rate: rate, period: period, ep: ep,
+		cfg: cfg, payloadBits: payloadBits, src: src,
+		bins: bins, blocked: make([]bool, bins+1),
 	}
-	var found []*Stream
-	for {
-		sts := eyeOnce(edges, used, blocked, rate, period, ep, cfg, payloadBits, src)
-		if len(sts) == 0 {
-			return found
-		}
-		found = append(found, sts...)
-	}
-}
-
-// eyeOnce extracts the strongest remaining phase-cluster region as one
-// or more streams, or returns nil when no peak clears the threshold.
-// A region can hold several tags — chains of nearby comparator phases
-// are common at sixteen tags — so the member differentials are
-// analyzed for up to four per-tag generator vectors, and each
-// recovered generator gets its own grid fit from its solo edges.
-func eyeOnce(edges []edgedetect.Edge, used []bool, blocked []bool, rate, period float64, ep eyeParams, cfg Config, payloadBits int, src *rng.Source) []*Stream {
-	bins := int(period / ep.binWidth)
 	if bins < 4 {
 		return nil
 	}
-	counts := make([]int, bins)
+	p.counts = make([]int, bins)
 	for i := range edges {
-		if used[i] || float64(edges[i].Pos) > ep.windowPos {
+		if float64(edges[i].Pos) > ep.windowPos {
 			continue
 		}
 		phase := math.Mod(float64(edges[i].Pos), period)
@@ -118,110 +111,119 @@ func eyeOnce(edges []edgedetect.Edge, used []bool, blocked []bool, rate, period 
 		if b >= bins {
 			b = bins - 1
 		}
-		counts[b]++
+		p.win = append(p.win, i)
+		p.phase = append(p.phase, phase)
+		p.bin = append(p.bin, b)
 	}
-	// Peak bin plus its neighbour (the phase may straddle a bin edge).
-	best, bestCount := -1, 0
-	for b := 0; b < bins; b++ {
-		if blocked[b] {
-			continue
+	var found []*Stream
+	for {
+		sts := p.once()
+		if len(sts) == 0 {
+			return found
 		}
-		c := counts[b] + counts[(b+1)%bins]
-		if c > bestCount {
-			best, bestCount = b, c
-		}
+		found = append(found, sts...)
 	}
-	if best < 0 || bestCount < ep.minHits {
-		if eyeDebug {
-			fmt.Fprintf(os.Stderr, "eye rate %.0f: no peak (best %d < %d)\n", rate, bestCount, ep.minHits)
-		}
-		return nil
-	}
-	// Expand the peak into a contiguous region of active bins: phase
-	// chains span several bins.
-	loBin, hiBin := best, best+1
-	active := ep.minHits / 4
-	if active < 2 {
-		active = 2
-	}
-	for span := 0; span < bins/3 && counts[(loBin-1+bins)%bins] >= active; span++ {
-		loBin = (loBin - 1 + bins) % bins
-	}
-	for span := 0; span < bins/3 && counts[(hiBin+1)%bins] >= active; span++ {
-		hiBin = (hiBin + 1) % bins
-	}
-	// Use the same quantization as the counting loop (period/bins, not
-	// the nominal binWidth — integer truncation makes them differ, and
-	// a peak's members must not fall outside its own region).
-	actualWidth := period / float64(bins)
-	loPh := float64(loBin) * actualWidth
-	hiPh := (float64(hiBin) + 1) * actualWidth
-	members := collectRegion(edges, used, period, loPh, hiPh, ep.windowPos)
-	if len(members) < ep.minHits {
-		if eyeDebug {
-			fmt.Fprintf(os.Stderr, "eye rate %.0f: region [%.0f,%.0f] only %d members\n", rate, loPh, hiPh, len(members))
-		}
-		return nil
-	}
-	gens, shadowed := regionGenerators(edges, members, src)
-	if len(gens) == 0 && eyeDebug {
-		fmt.Fprintf(os.Stderr, "eye rate %.0f: no generators from %d members\n", rate, len(members))
-	}
-	if eyeDebug {
-		fmt.Fprintf(os.Stderr, "eye region [%.0f,%.0f] members=%d gens=%d\n", loPh, hiPh, len(members), len(gens))
-		for _, g := range gens {
-			fmt.Fprintf(os.Stderr, "  gen %.2e angle %.0f\n", dsp.Abs(g), math.Atan2(imag(g), real(g))*180/math.Pi)
-		}
-	}
-	var out []*Stream
-	for gi := range gens {
-		st := fitGenerator(edges, members, gens, gi, shadowed[gi], period, cfg)
-		e := gens[gi]
-		if st == nil {
-			if eyeDebug {
-				fmt.Fprintf(os.Stderr, "  gen %.2e: fit failed\n", dsp.Abs(e))
-			}
-			continue
-		}
-		st.Rate = rate
-		st.Source = SourceEye
-		if !validateHead(edges, st, gens, gi, shadowed[gi], cfg) {
-			if eyeDebug {
-				fmt.Fprintf(os.Stderr, "  gen %.2e: head invalid at off %.1f\n", dsp.Abs(e), st.Offset)
-			}
-			continue
-		}
-		if eyeDebug {
-			fmt.Fprintf(os.Stderr, "  gen %.2e -> stream off=%.1f per=%.4f\n", dsp.Abs(e), st.Offset, st.Period)
-		}
-		out = append(out, st)
-	}
-	if len(out) == 0 {
-		// Nothing validated: block the peak bin and try the next-best
-		// region. The members stay available — they may belong to a
-		// slower rate whose edges all fold onto one phase here.
-		blocked[best] = true
-		return eyeOnce(edges, used, blocked, rate, period, ep, cfg, payloadBits, src)
-	}
-	for _, mi := range members {
-		used[mi] = true
-	}
-	for _, st := range out {
-		consumePayloadEdges(edges, used, st, FrameSlots(cfg, payloadBits), cfg)
-	}
-	return out
 }
 
-// collectRegion returns indices of unused edges whose phase lies in
-// [loPh, hiPh] (mod period, loPh may exceed hiPh when the region wraps)
-// and inside the folding window.
-func collectRegion(edges []edgedetect.Edge, used []bool, period, loPh, hiPh, windowPos float64) []int {
-	var out []int
-	for i := range edges {
-		if used[i] || float64(edges[i].Pos) > windowPos {
+// once extracts the strongest remaining phase-cluster region as one or
+// more streams, or returns nil when no peak clears the threshold. A
+// region can hold several tags — chains of nearby comparator phases
+// are common at sixteen tags — so the member differentials are
+// analyzed for up to four per-tag generator vectors, and each
+// recovered generator gets its own grid fit from its solo edges. A
+// region where nothing validates has its peak bin blocked and the
+// next-best peak is tried.
+func (p *eyePass) once() []*Stream {
+	bins, ep, cfg := p.bins, p.ep, p.cfg
+	clear(p.counts)
+	for k, i := range p.win {
+		if !p.used[i] {
+			p.counts[p.bin[k]]++
+		}
+	}
+	counts := p.counts
+	for {
+		// Peak bin plus its neighbour (the phase may straddle a bin
+		// edge).
+		best, bestCount := -1, 0
+		for b := 0; b < bins; b++ {
+			if p.blocked[b] {
+				continue
+			}
+			c := counts[b] + counts[(b+1)%bins]
+			if c > bestCount {
+				best, bestCount = b, c
+			}
+		}
+		if best < 0 || bestCount < ep.minHits {
+			return nil
+		}
+		// Expand the peak into a contiguous region of active bins:
+		// phase chains span several bins.
+		loBin, hiBin := best, best+1
+		active := ep.minHits / 4
+		if active < 2 {
+			active = 2
+		}
+		for span := 0; span < bins/3 && counts[(loBin-1+bins)%bins] >= active; span++ {
+			loBin = (loBin - 1 + bins) % bins
+		}
+		for span := 0; span < bins/3 && counts[(hiBin+1)%bins] >= active; span++ {
+			hiBin = (hiBin + 1) % bins
+		}
+		// Use the same quantization as the counting loop (period/bins,
+		// not the nominal binWidth — integer truncation makes them
+		// differ, and a peak's members must not fall outside its own
+		// region).
+		actualWidth := p.period / float64(bins)
+		loPh := float64(loBin) * actualWidth
+		hiPh := (float64(hiBin) + 1) * actualWidth
+		members := p.collectRegion(loPh, hiPh)
+		if len(members) < ep.minHits {
+			return nil
+		}
+		gens, shadowed := regionGenerators(p.edges, members, p.src)
+		var out []*Stream
+		for gi := range gens {
+			st := fitGenerator(p.edges, members, gens, gi, shadowed[gi], p.period, cfg)
+			if st == nil {
+				continue
+			}
+			st.Rate = p.rate
+			st.Source = SourceEye
+			if !validateHead(p.edges, st, gens, gi, shadowed[gi], cfg) {
+				continue
+			}
+			out = append(out, st)
+		}
+		if len(out) == 0 {
+			// Nothing validated: block the peak bin and try the
+			// next-best region. The members stay available — they may
+			// belong to a slower rate whose edges all fold onto one
+			// phase here — so the counts stand.
+			p.blocked[best] = true
 			continue
 		}
-		phase := math.Mod(float64(edges[i].Pos), period)
+		for _, mi := range members {
+			p.used[mi] = true
+		}
+		for _, st := range out {
+			consumePayloadEdges(p.edges, p.used, st, FrameSlots(cfg, p.payloadBits), cfg)
+		}
+		return out
+	}
+}
+
+// collectRegion returns indices of unused folded edges whose phase lies
+// in [loPh, hiPh] (mod period, loPh may exceed hiPh when the region
+// wraps).
+func (p *eyePass) collectRegion(loPh, hiPh float64) []int {
+	var out []int
+	for k, i := range p.win {
+		if p.used[i] {
+			continue
+		}
+		phase := p.phase[k]
 		in := false
 		if loPh <= hiPh {
 			in = phase >= loPh && phase <= hiPh
@@ -254,8 +256,16 @@ func regionGenerators(edges []edgedetect.Edge, members []int, src *rng.Source) (
 			diffs = append(diffs, edges[mi].Diff)
 		}
 	}
+	if regionProbe != nil {
+		regionProbe(diffs)
+	}
 	return peelGenerators(diffs, src)
 }
+
+// regionProbe, when non-nil, sees each registration region's
+// differential population before its generators are recovered. The
+// screened-geometry reference test checks real regions through it.
+var regionProbe func(diffs []complex128)
 
 // peelGenerators extracts per-tag vectors from a mixed differential
 // population. It first harvests every antipodal cluster mode by
@@ -449,8 +459,12 @@ func peelGenerators(diffs []complex128, src *rng.Source) ([]complex128, []bool) 
 // wins, and the mode is the sign-aligned mean of those neighbours.
 // Unlike k-means this cannot blur two lattice clusters into a phantom
 // centroid between them.
+//
+// The count loop is all pairs, so it runs through
+// dsp.CountWithinPM, which settles nearly every pair on squared
+// distances; the count is exactly the one exact Dist comparisons give.
 func densestMode(points []complex128, floor float64) (complex128, int) {
-	work := append([]complex128(nil), points...)
+	work := points // never written: each retry builds a new slice
 	radiusFor := func(d complex128) float64 {
 		return math.Max(5*floor, 0.22*dsp.Abs(d))
 	}
@@ -463,13 +477,7 @@ func densestMode(points []complex128, floor float64) (complex128, int) {
 			if dsp.Abs(d) < 4*floor {
 				continue // origin cluster is not a generator
 			}
-			r := radiusFor(d)
-			count := 0
-			for _, q := range work {
-				if dsp.Dist(q, d) <= r || dsp.Dist(q, -d) <= r {
-					count++
-				}
-			}
+			count := dsp.CountWithinPM(work, d, radiusFor(d))
 			if count > bestCount {
 				bestIdx, bestCount = i, count
 			}
@@ -526,15 +534,31 @@ func densestMode(points []complex128, floor float64) (complex128, int) {
 // while inter-cluster distances are far larger. (The smallest
 // *magnitudes* would not do — edge differentials have no origin
 // cluster.)
+//
+// Each nearest neighbour is found on squared distances first; the
+// exact Dist is taken only for the candidates dsp.DistSqCut leaves,
+// which always include the exact nearest one, so nn is bit-identical
+// to an all-pairs Dist scan.
 func noiseScale(diffs []complex128) float64 {
 	if len(diffs) < 2 {
 		return 0
 	}
 	nn := make([]float64, len(diffs))
+	sq := make([]float64, len(diffs))
 	for i, d := range diffs {
+		m := math.Inf(1)
+		for j, q := range diffs {
+			if j == i {
+				continue
+			}
+			if sq[j] = dsp.DistSq(d, q); sq[j] < m {
+				m = sq[j] // NaN never wins, as in the exact scan
+			}
+		}
+		cut := dsp.DistSqCut(m)
 		best := math.Inf(1)
 		for j, q := range diffs {
-			if i == j {
+			if j == i || sq[j] > cut {
 				continue
 			}
 			if dist := dsp.Dist(d, q); dist < best {
@@ -569,16 +593,10 @@ func fitGenerator(edges []edgedetect.Edge, members []int, gens []complex128, tar
 	}
 	grid := fitGrid(edges, solo, nominal, cfg)
 	if grid == nil {
-		if eyeDebug {
-			fmt.Fprintf(os.Stderr, "    fitGrid failed (%d solo)\n", len(solo))
-		}
 		return nil
 	}
 	offset := anchorScan(edges, grid.offset, grid.period, gens, target, shadowed, cfg)
 	if offset < 0 || int64(offset) > cfg.MaxStart {
-		if eyeDebug {
-			fmt.Fprintf(os.Stderr, "    anchor failed (offset %.1f, shadowed %v)\n", offset, shadowed)
-		}
 		return nil
 	}
 	return &Stream{Offset: offset, Period: grid.period, E: e}
@@ -592,10 +610,11 @@ func fitGenerator(edges []edgedetect.Edge, members []int, gens []complex128, tar
 func validateHead(edges []edgedetect.Edge, st *Stream, siblings []complex128, target int, shadowed bool, cfg Config) bool {
 	head := 0
 	memo := newLatticeMemo(len(edges), siblings[target])
+	cur := 0
 	for k := 0; k < cfg.PreambleLen; k++ {
 		expect := st.Offset + float64(k)*st.Period
 		tol := float64(cfg.PosTol) + 2 + float64(k)*st.Period*cfg.DriftPPM/1e6
-		if eOccupied(edges, expect, tol, siblings, target, memo) {
+		if eOccupied(edges, &cur, expect, tol, siblings, target, memo) {
 			head++
 		}
 	}
@@ -653,8 +672,9 @@ func newLatticeMemo(n int, e complex128) *latticeMemo {
 // improves the fit by a meaningful margin. This stays correct under
 // destructive interference (|e+f| < |f|), where any magnitude-
 // reduction heuristic fails. memo, when non-nil, must have been built
-// for this exact (edges, gens, target) triple.
-func eOccupied(edges []edgedetect.Edge, pos, tol float64, gens []complex128, target int, memo *latticeMemo) bool {
+// for this exact (edges, gens, target) triple. cur is a lookup cursor
+// as in findEdge.
+func eOccupied(edges []edgedetect.Edge, cur *int, pos, tol float64, gens []complex128, target int, memo *latticeMemo) bool {
 	var eAbs float64
 	if memo != nil {
 		eAbs = memo.eAbs
@@ -664,9 +684,8 @@ func eOccupied(edges []edgedetect.Edge, pos, tol float64, gens []complex128, tar
 	if eAbs == 0 {
 		return false
 	}
-	lo := sort.Search(len(edges), func(i int) bool {
-		return float64(edges[i].Pos) >= pos-tol-16
-	})
+	lo := seekPos(edges, *cur, pos-tol-16)
+	*cur = lo
 	for i := lo; i < len(edges) && float64(edges[i].First) <= pos+tol; i++ {
 		if float64(edges[i].Last) < pos-tol {
 			continue
@@ -753,9 +772,11 @@ func headGate(gens []complex128, target int, shadowed bool, cfg Config) (missPen
 
 // headProbe returns the template's occupancy probe: whether the slot
 // at pos, slotsAway periods from the candidate anchor, holds an edge
-// in which gens[target] participates.
+// in which gens[target] participates. Each template slot keeps its own
+// lookup cursor, which moves forward with the scan.
 func headProbe(edges []edgedetect.Edge, period float64, gens []complex128, target int, cfg Config) func(pos float64, slotsAway int) bool {
 	memo := newLatticeMemo(len(edges), gens[target])
+	curs := make([]int, cfg.PreambleLen+3) // slots −2 … PreambleLen
 	return func(pos float64, slotsAway int) bool {
 		// Tolerance grows with distance from the fit origin: clock
 		// drift accumulates per slot, which matters at slow rates
@@ -765,7 +786,8 @@ func headProbe(edges []edgedetect.Edge, period float64, gens []complex128, targe
 			away = -away
 		}
 		tol := float64(cfg.PosTol) + 2 + float64(away)*period*cfg.DriftPPM/1e6
-		return eOccupied(edges, pos, tol, gens, target, memo)
+		cur := &curs[min(max(slotsAway+2, 0), len(curs)-1)]
+		return eOccupied(edges, cur, pos, tol, gens, target, memo)
 	}
 }
 
@@ -805,12 +827,12 @@ func scanHeads(edges []edgedetect.Edge, offset, period float64, missPenalty, min
 		winHi = float64(cfg.PreambleLen)*period + tolMax + maxExtent
 	}
 	best, bestScore := offset, -1000
+	cur := 0
 scan:
 	for pos := earliest; pos <= float64(cfg.MaxStart); pos += period {
 		if canSkip {
-			i := sort.Search(len(edges), func(i int) bool {
-				return float64(edges[i].Pos) >= pos-winLo
-			})
+			i := seekPos(edges, cur, pos-winLo)
+			cur = i
 			if i == len(edges) {
 				break // no edges this far out: every remaining position is empty
 			}

@@ -81,12 +81,12 @@ func TestEOccupiedUnderDestructiveInterference(t *testing.T) {
 	d := e + f // tiny
 	p := int64(1000)
 	edges := []edgedetect.Edge{{Pos: p, First: p, Last: p, Diff: d, Peaks: 1}}
-	if !eOccupied(edges, 1000, 5, []complex128{e, f}, 0, nil) {
+	if !eOccupied(edges, new(int), 1000, 5, []complex128{e, f}, 0, nil) {
 		t.Fatal("destructive co-toggle not attributed to e")
 	}
 	// A lone f edge must NOT count as e-occupancy.
 	edges[0].Diff = f
-	if eOccupied(edges, 1000, 5, []complex128{e, f}, 0, nil) {
+	if eOccupied(edges, new(int), 1000, 5, []complex128{e, f}, 0, nil) {
 		t.Fatal("sibling-only edge misattributed to e")
 	}
 }

@@ -323,14 +323,15 @@ func dedupe(sts []*Stream, cfg Config) []*Stream {
 func silentBefore(edges []edgedetect.Edge, used []bool, start int, period float64, cfg Config) bool {
 	e := edges[start].Diff
 	vecTol := cfg.VecTol * dsp.Abs(e)
+	cur := start
 	for k := 1; k <= 3; k++ {
 		expect := float64(edges[start].Pos) - float64(k)*period
 		if expect < 0 {
 			break
 		}
 		tol := float64(cfg.PosTol)
-		if findEdge(edges, used, expect, tol, e, vecTol) >= 0 ||
-			findEdge(edges, used, expect, tol, -e, vecTol) >= 0 {
+		if findEdge(edges, used, &cur, expect, tol, e, vecTol) >= 0 ||
+			findEdge(edges, used, &cur, expect, tol, -e, vecTol) >= 0 {
 			return false
 		}
 	}
@@ -348,18 +349,19 @@ func consumePayloadEdges(edges []edgedetect.Edge, used []bool, st *Stream, numSl
 	vecTol := cfg.VecTol * dsp.Abs(st.E)
 	pos := st.Offset
 	sinceLock := 1
+	cur := 0 // lookup cursor: the slots walk forward
 	for k := 0; k < numSlots; k++ {
 		// Drift allowance grows only since the last resync; an
 		// unbounded window would swallow unrelated tags' edges.
 		tol := float64(cfg.PosTol) + st.Period*float64(sinceLock)*cfg.DriftPPM/1e6
-		idx := findEdge(edges, used, pos, tol, st.E, vecTol)
+		idx := findEdge(edges, used, &cur, pos, tol, st.E, vecTol)
 		if idx < 0 {
-			idx = findEdge(edges, used, pos, tol, -st.E, vecTol)
+			idx = findEdge(edges, used, &cur, pos, tol, -st.E, vecTol)
 		}
 		if idx < 0 {
 			// Tight window only: stray edges of unrelated streams must
 			// stay available for their own registration.
-			idx = findAnyEdge(edges, used, pos, float64(cfg.PosTol))
+			idx = findAnyEdge(edges, used, &cur, pos, float64(cfg.PosTol))
 		}
 		if idx >= 0 {
 			used[idx] = true
@@ -374,11 +376,10 @@ func consumePayloadEdges(edges []edgedetect.Edge, used []bool, st *Stream, numSl
 }
 
 // findAnyEdge returns the closest unused edge within tol of expect
-// regardless of vector, or -1.
-func findAnyEdge(edges []edgedetect.Edge, used []bool, expect, tol float64) int {
-	lo := sort.Search(len(edges), func(i int) bool {
-		return float64(edges[i].Pos) >= expect-tol
-	})
+// regardless of vector, or -1. cur is a lookup cursor as in findEdge.
+func findAnyEdge(edges []edgedetect.Edge, used []bool, cur *int, expect, tol float64) int {
+	lo := seekPos(edges, *cur, expect-tol)
+	*cur = lo
 	best, bestDist := -1, math.Inf(1)
 	for i := lo; i < len(edges) && float64(edges[i].Pos) <= expect+tol; i++ {
 		if used[i] {
@@ -409,6 +410,7 @@ func tryPreamble(edges []edgedetect.Edge, used []bool, start, startK int, period
 	positions := []float64{float64(edges[start].Pos)}
 	ks := []int{startK}
 	missing := startK // edges before the start are unobserved
+	cur := start
 	for k := startK + 1; k < cfg.PreambleLen; k++ {
 		expect := float64(edges[start].Pos) + float64(k-startK)*period
 		tol := float64(cfg.PosTol) + expect*cfg.DriftPPM/1e6
@@ -416,7 +418,7 @@ func tryPreamble(edges []edgedetect.Edge, used []bool, start, startK int, period
 		if k%2 == 1 {
 			want = -e
 		}
-		idx := findEdge(edges, used, expect, tol, want, cfg.VecTol*scale)
+		idx := findEdge(edges, used, &cur, expect, tol, want, cfg.VecTol*scale)
 		if idx < 0 {
 			missing++
 			if cfg.PreambleLen-missing < cfg.MinPreambleEdges {
@@ -452,17 +454,19 @@ func tryPreamble(edges []edgedetect.Edge, used []bool, start, startK int, period
 
 // findEdge returns the index of an unused edge within tol samples of
 // expect whose differential is within vecTol of want, or -1. When
-// multiple qualify the closest in position wins.
-func findEdge(edges []edgedetect.Edge, used []bool, expect, tol float64, want complex128, vecTol float64) int {
-	lo := sort.Search(len(edges), func(i int) bool {
-		return float64(edges[i].Pos) >= expect-tol
-	})
+// multiple qualify the closest in position wins. cur is a lookup
+// cursor (see seekPos): it hints where the window starts and is left
+// at the window's first index, so a walk that moves forward passes it
+// from one lookup to the next.
+func findEdge(edges []edgedetect.Edge, used []bool, cur *int, expect, tol float64, want complex128, vecTol float64) int {
+	lo := seekPos(edges, *cur, expect-tol)
+	*cur = lo
 	best, bestDist := -1, math.Inf(1)
 	for i := lo; i < len(edges) && float64(edges[i].Pos) <= expect+tol; i++ {
 		if used[i] {
 			continue
 		}
-		if dsp.Dist(edges[i].Diff, want) > vecTol {
+		if dsp.DistBeyond(edges[i].Diff, want, vecTol) {
 			continue
 		}
 		d := math.Abs(float64(edges[i].Pos) - expect)
@@ -471,6 +475,43 @@ func findEdge(edges []edgedetect.Edge, used []bool, expect, tol float64, want co
 		}
 	}
 	return best
+}
+
+// seekPos returns the first index i with edges[i].Pos >= lo, compared
+// as T, or len(edges): the index sort.Search returns for that predicate
+// on position-sorted edges. It starts at hint and steps left or right
+// in doubling strides before a binary search of the bracket, so any
+// hint gives the same index, and a hint at or next to the answer — the
+// previous lookup of a walk that moves forward — costs one or two
+// comparisons.
+func seekPos[T int64 | float64](edges []edgedetect.Edge, hint int, lo T) int {
+	n := len(edges)
+	i := min(max(hint, 0), n)
+	if i > 0 && T(edges[i-1].Pos) >= lo {
+		// The answer is at or below hi = i−1: stride left to a miss.
+		hi := i - 1
+		for step := 1; ; step *= 2 {
+			j := hi - step
+			if j < 0 || !(T(edges[j].Pos) >= lo) {
+				a := max(j+1, 0)
+				return a + sort.Search(hi-a, func(k int) bool { return T(edges[a+k].Pos) >= lo })
+			}
+			hi = j
+		}
+	}
+	if i == n || T(edges[i].Pos) >= lo {
+		return i
+	}
+	// The answer is above f = i: stride right to a hit or the end.
+	f := i
+	for step := 1; ; step *= 2 {
+		j := f + step
+		if j >= n || T(edges[j].Pos) >= lo {
+			b := min(j, n)
+			return f + 1 + sort.Search(b-f-1, func(k int) bool { return T(edges[f+1+k].Pos) >= lo })
+		}
+		f = j
+	}
 }
 
 // fitLine least-squares fits positions ≈ offset + k·period.
@@ -561,6 +602,7 @@ type Walker struct {
 	pos       float64
 	sinceLock int
 	vecTol    float64
+	cur       int // pickEdge's lookup cursor
 	// Long-baseline period estimation: individual edge positions carry
 	// a couple samples of localization noise, so the per-lock
 	// innovation is only partially trusted (DriftGain), while the
@@ -633,7 +675,7 @@ func (w *Walker) Step(src EdgeSource) {
 	}
 	tol := w.tol()
 	edges := src.Edges()
-	idx, clean := pickEdge(edges, int64(math.Round(w.pos)), int64(math.Ceil(tol)), w.st.E, w.vecTol)
+	idx, clean := pickEdge(edges, &w.cur, int64(math.Round(w.pos)), int64(math.Ceil(tol)), w.st.E, w.vecTol)
 	o := SlotObs{Slot: w.k, EdgeIdx: idx}
 	if idx >= 0 {
 		edge := edges[idx]
@@ -720,11 +762,12 @@ func WalkHorizon(cfg Config, offset, period float64, slots int) int64 {
 // differential matches ±e (clean), or — when none matches — the
 // closest edge of any vector (foreign). Preferring the vector match
 // keeps a stream locked to its own edges when another tag's edge has
-// drifted into the window.
-func pickEdge(edges []edgedetect.Edge, pos, maxDist int64, e complex128, vecTol float64) (idx int, clean bool) {
+// drifted into the window. cur is a lookup cursor as in findEdge.
+func pickEdge(edges []edgedetect.Edge, cur *int, pos, maxDist int64, e complex128, vecTol float64) (idx int, clean bool) {
 	// Coalesced groups can span several samples; match against the
 	// group interval [First, Last], not just the centre.
-	lo := sort.Search(len(edges), func(i int) bool { return edges[i].Pos >= pos-maxDist-pickEdgeSpan })
+	lo := seekPos(edges, *cur, pos-maxDist-pickEdgeSpan)
+	*cur = lo
 	bestClean, bestCleanDist := -1, maxDist+1
 	bestAny, bestAnyDist := -1, maxDist+1
 	for i := lo; i < len(edges) && edges[i].First <= pos+maxDist; i++ {
@@ -741,7 +784,7 @@ func pickEdge(edges []edgedetect.Edge, pos, maxDist int64, e complex128, vecTol 
 		if d < bestAnyDist {
 			bestAny, bestAnyDist = i, d
 		}
-		if dsp.Dist(edges[i].Diff, e) <= vecTol || dsp.Dist(edges[i].Diff, -e) <= vecTol {
+		if dsp.DistWithin(edges[i].Diff, e, vecTol) || dsp.DistWithin(edges[i].Diff, -e, vecTol) {
 			if d < bestCleanDist {
 				bestClean, bestCleanDist = i, d
 			}
