@@ -36,7 +36,8 @@ bench:
 # Native Go fuzzing of the adversarial-input surfaces: the LFIQ
 # container parser and the streaming decode pipeline, plus the kernel
 # contracts (the masked residual fold, the screened sweep's skip
-# bound, the distance screen). FUZZTIME bounds each target's budget (default 30s; raise for
+# bound, the distance screen, the bracket-pass noise floor, the per-run
+# NMS). FUZZTIME bounds each target's budget (default 30s; raise for
 # a soak run).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBlockReader -fuzztime $(FUZZTIME) ./internal/iq
@@ -47,6 +48,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMaskedFold -fuzztime $(FUZZTIME) ./internal/edgedetect
 	$(GO) test -run '^$$' -fuzz FuzzScreenSound -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz FuzzDistWithin -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz FuzzNoiseFloor -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz FuzzSuppressRuns -fuzztime $(FUZZTIME) ./internal/dsp
 
 # Short-budget fuzz pass for CI: enough executions to catch decode-path
 # panics on adversarial input without stalling the gate.
@@ -55,8 +58,9 @@ fuzz-smoke:
 
 # Kernel-equivalence smoke: the direct unit equivalence suites for the
 # SoA sweep kernels, the screened sweep's DiffAt identity and skip
-# bound, the distance screen, quickselect median, and windowed NMS
-# (DESIGN.md §12), plus a short fuzz of the sparse reference kernel the
+# bound, the distance screen, the bracket-pass and quickselect median,
+# the screened calibration's rounding band, and windowed and per-run
+# NMS (DESIGN.md §12), plus a short fuzz of the sparse reference kernel the
 # benchmark still times (dsp.sweep_sparse_ns_per_sample); the
 # frame-head scan's branch-and-bound cut against the uncut scan
 # (DESIGN.md §17), and registration's cursor lookups and screened
@@ -64,7 +68,8 @@ fuzz-smoke:
 # and the LFIQ sample codec's little-endian fast path against the
 # portable path, truncation included.
 kernel-smoke:
-	$(GO) test -run 'TestPrefixSoA|TestDiffSweep|TestDiffAt|TestScreen|TestDist|TestMedianFloat|TestSuppress' ./internal/dsp
+	$(GO) test -run 'TestPrefixSoA|TestDiffSweep|TestDiffAt|TestScreen|TestDist|TestMedianFloat|TestNoiseFloor|TestSuppress' ./internal/dsp
+	$(GO) test -run 'TestCalibrateFromScreen' ./internal/edgedetect
 	$(GO) test -run '^$$' -fuzz FuzzDiffSweepSparse -fuzztime 5s ./internal/dsp
 	$(GO) test -run 'TestAnchorScanPruneExact|TestRegistrationGeometryExact' ./internal/streams
 	$(GO) test -run 'TestSampleCodec|TestBlockReaderTruncated' ./internal/iq

@@ -102,30 +102,36 @@ func (p *Prefix) DifferentialSeriesInto(dst []float64, gap, win int64, workers i
 	})
 }
 
-// MedianFloat returns the median of xs. It copies into pooled scratch
-// and quickselects — O(n) instead of a full sort, yielding the exact
-// same order statistics (NaNs ordering first, as in sort.Float64s).
-// xs is not modified. Returns 0 for an empty slice.
-func MedianFloat(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// NoiseFloorMax estimates the background level of a
+// differential-magnitude series as its median: the middle value, or for
+// even n the mean of the two middle values, of the sorted series, with
+// NaNs ordering first as in sort.Float64s. Because edges are temporally
+// sparse (≲1% of samples at the paper's oversampling ratios), the median
+// sits on the noise, not on the edges. From the same pass it returns the
+// largest value of mag that exceeds 0 (0 if none does; NaNs never
+// count): the two statistics the detector's calibration takes.
+//
+// It selects the order statistics with counting passes between sampled
+// pivots, in O(n), and falls back to quickselect when the pivots miss,
+// ties stop a pass from shrinking, or a NaN would sort last. mag is not
+// modified. Both results are 0 for an empty slice.
+func NoiseFloorMax(mag []float64) (floor, top float64) {
+	n := len(mag)
+	if n == 0 {
+		return 0, 0
 	}
-	cp := pool.Float(len(xs))
-	copy(cp, xs)
-	m := len(cp) / 2
-	med := selectFloat(cp, m)
-	if len(cp)%2 == 0 {
-		med = (maxFloat(cp[:m]) + med) / 2
+	m := n / 2
+	k0 := m
+	if n%2 == 0 {
+		k0 = m - 1
 	}
-	pool.PutFloat(cp)
-	return med
+	lo, hi, top := orderStats(mag, k0, m)
+	floor = hi
+	if k0 != m {
+		floor = (lo + hi) / 2
+	}
+	return floor, max(top, 0)
 }
-
-// NoiseFloor estimates the background level of a differential-magnitude
-// series as its median. Because edges are temporally sparse (≲1% of
-// samples at the paper's oversampling ratios), the median sits on the
-// noise, not on the edges.
-func NoiseFloor(mag []float64) float64 { return MedianFloat(mag) }
 
 // Peak is a local maximum of a differential-magnitude series.
 type Peak struct {
@@ -145,27 +151,14 @@ type Peak struct {
 // equals one global pass — the property the incremental edge detector's
 // chunked flushing builds on.
 //
-// The conflict test uses a grid of minSpacing-wide cells: accepted
-// peaks are pairwise ≥ minSpacing apart, so a cell holds at most one,
-// and a candidate can only conflict with the occupants of its own and
-// the two adjacent cells. That makes the pass O(n log n) in the peak
-// count where the previous kept-list scan was O(n²) — quadratic
-// exactly when it hurt, under spurious-edge fault floods.
+// The pass runs one conflict run at a time (see Suppressor.runs) over
+// the peaks in position order — a sorted copy when the input is not
+// already in it — and costs O(n log n) in the peak count where the
+// previous kept-list scan was O(n²), quadratic exactly when it hurt,
+// under spurious-edge fault floods.
 func Suppress(peaks []Peak, minSpacing int64) []Peak {
-	if len(peaks) <= 1 {
-		return peaks
-	}
-	byValue := make([]Peak, len(peaks))
-	copy(byValue, peaks)
-	if minSpacing < 1 {
-		// No two distinct positions can conflict; just order by position.
-		sortPeaksByPos(byValue)
-		return byValue
-	}
-	sortPeaksByValue(byValue)
-	kept := suppressSorted(byValue[:0], byValue, nil, minSpacing)
-	sortPeaksByPos(kept)
-	return kept
+	var sp Suppressor
+	return sp.Suppress(make([]Peak, 0, len(peaks)), peaks, minSpacing)
 }
 
 func sortPeaksByValue(peaks []Peak) {
@@ -208,11 +201,12 @@ func sortPeaksByPos(peaks []Peak) {
 }
 
 // suppressSorted greedily accepts peaks from byValue (already in value
-// desc, position asc order) into dst, skipping any within minSpacing of
-// an accepted peak. cells may carry a reusable cell→position map (it is
-// cleared first); nil allocates one. dst may alias byValue's backing
-// array offset zero — acceptance only ever rewrites already-consumed
-// entries.
+// desc, position asc order) into dst, skipping any within minSpacing
+// (≥ 1) of an accepted peak, on a grid of minSpacing-wide cells:
+// accepted peaks are pairwise ≥ minSpacing apart, so a cell holds at
+// most one, and a candidate can only conflict with the occupants of its
+// own and the two adjacent cells. cells is a reusable cell→position map
+// (it is cleared first); nil allocates one.
 func suppressSorted(dst, byValue []Peak, cells map[int64]int64, minSpacing int64) []Peak {
 	if cells == nil {
 		cells = make(map[int64]int64, len(byValue))
@@ -249,34 +243,115 @@ func suppressSorted(dst, byValue []Peak, cells map[int64]int64, minSpacing int64
 // steady-state reuse (the streaming detector suppresses one chunk per
 // flush). The zero value is ready to use.
 type Suppressor struct {
+	byPos   []Peak
 	byValue []Peak
 	cells   map[int64]int64
 }
 
-// Suppress runs the cell-grid NMS over chunk, reusing dst (re-sliced to
-// zero length) for the result, which is returned sorted by position.
+// Suppress runs the NMS over chunk, reusing dst (re-sliced to zero
+// length) for the result, which is returned sorted by position.
 // Semantics are identical to the package-level Suppress; chunk is not
-// modified.
+// modified. Greedy NMS does not depend on the order of its input, so
+// chunk, when it is not in position order already (a local-maximum
+// scan emits it in that order), is suppressed as a sorted copy.
 func (sp *Suppressor) Suppress(dst, chunk []Peak, minSpacing int64) []Peak {
-	sp.byValue = append(sp.byValue[:0], chunk...)
-	if minSpacing < 1 {
-		dst = append(dst[:0], sp.byValue...)
-		sortPeaksByPos(dst)
-		return dst
+	if !sortedByPos(chunk) {
+		sp.byPos = append(sp.byPos[:0], chunk...)
+		sortPeaksByPos(sp.byPos)
+		chunk = sp.byPos
 	}
-	sortPeaksByValue(sp.byValue)
-	if sp.cells == nil {
-		sp.cells = make(map[int64]int64, 64)
+	return sp.runs(dst[:0], chunk, minSpacing)
+}
+
+// runMax is the longest conflict run suppressed by insertion sort.
+// Longer runs, which spurious-edge floods chain up, take the cell grid,
+// so no input costs more than O(n log n).
+const runMax = 32
+
+// runs appends to dst the greedy NMS of peaks, which must be in
+// sortPeaksByPos order, and returns it in that order.
+// Greedy decisions interact only between peaks less than minSpacing
+// apart, so they never cross a gap of minSpacing or more between
+// consecutive peaks: each maximal run of consecutive peaks closer than
+// that is suppressed on its own, in the global (value desc, position
+// asc) order restricted to the run, and the runs' results concatenate
+// in position order. A lone peak, the common case, is kept outright;
+// with minSpacing < 1 every peak is lone.
+func (sp *Suppressor) runs(dst, peaks []Peak, minSpacing int64) []Peak {
+	for i := 0; i < len(peaks); {
+		j := i + 1
+		for j < len(peaks) && peaks[j].Pos-peaks[j-1].Pos < minSpacing {
+			j++
+		}
+		run := peaks[i:j]
+		i = j
+		if len(run) == 1 {
+			dst = append(dst, run[0])
+			continue
+		}
+		start := len(dst)
+		sp.byValue = append(sp.byValue[:0], run...)
+		if len(run) > runMax {
+			sortPeaksByValue(sp.byValue)
+			if sp.cells == nil {
+				sp.cells = make(map[int64]int64, 64)
+			}
+			dst = suppressSorted(dst, sp.byValue, sp.cells, minSpacing)
+			sortPeaksByPos(dst[start:])
+			continue
+		}
+		insertionPeaks(sp.byValue, valueFirst)
+	next:
+		for _, p := range sp.byValue {
+			for _, k := range dst[start:] {
+				if d := p.Pos - k.Pos; d < minSpacing && -d < minSpacing {
+					continue next
+				}
+			}
+			dst = append(dst, p)
+		}
+		insertionPeaks(dst[start:], posFirst)
 	}
-	dst = suppressSorted(dst[:0], sp.byValue, sp.cells, minSpacing)
-	sortPeaksByPos(dst)
 	return dst
+}
+
+// sortedByPos reports whether peaks are in sortPeaksByPos order.
+func sortedByPos(peaks []Peak) bool {
+	for i := 1; i < len(peaks); i++ {
+		if posFirst(peaks[i], peaks[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// valueFirst and posFirst are sortPeaksByValue's and sortPeaksByPos's
+// orders as strict less-than tests.
+func valueFirst(a, b Peak) bool {
+	return a.Value > b.Value || a.Value == b.Value && a.Pos < b.Pos
+}
+
+func posFirst(a, b Peak) bool {
+	return a.Pos < b.Pos || a.Pos == b.Pos && a.Value > b.Value
+}
+
+// insertionPeaks sorts a short run of peaks by less.
+func insertionPeaks(a []Peak, less func(a, b Peak) bool) {
+	for i := 1; i < len(a); i++ {
+		x := a[i]
+		j := i - 1
+		for j >= 0 && less(x, a[j]) {
+			a[j+1] = a[j]
+			j--
+		}
+		a[j+1] = x
+	}
 }
 
 // RetainedBytes reports the live scratch held by the suppressor, for
 // callers that account their window state (the streaming detector).
 func (sp *Suppressor) RetainedBytes() int64 {
-	return int64(len(sp.byValue)) * 16
+	return int64(len(sp.byPos)+len(sp.byValue)) * 16
 }
 
 // Abs returns |x| for a complex value (hypot of the parts).

@@ -85,20 +85,20 @@ func TestDifferentialSeriesPeaksAtStep(t *testing.T) {
 }
 
 func TestMedianFloat(t *testing.T) {
-	if MedianFloat(nil) != 0 {
-		t.Fatal("median of empty should be 0")
+	if floor, top := NoiseFloorMax(nil); floor != 0 || top != 0 {
+		t.Fatal("median and maximum of empty should be 0")
 	}
-	if got := MedianFloat([]float64{3, 1, 2}); got != 2 {
+	if got, _ := NoiseFloorMax([]float64{3, 1, 2}); got != 2 {
 		t.Fatalf("odd median = %v", got)
 	}
-	if got := MedianFloat([]float64{4, 1, 3, 2}); got != 2.5 {
+	if got, _ := NoiseFloorMax([]float64{4, 1, 3, 2}); got != 2.5 {
 		t.Fatalf("even median = %v", got)
 	}
 	// Input must not be mutated.
 	in := []float64{9, 1, 5}
-	MedianFloat(in)
+	NoiseFloorMax(in)
 	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
-		t.Fatal("MedianFloat mutated its input")
+		t.Fatal("NoiseFloorMax mutated its input")
 	}
 }
 
@@ -121,7 +121,7 @@ func TestNoiseFloorIgnoresSparseEdges(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mag[i*100] = 50
 	}
-	if got := NoiseFloor(mag); got != 0.1 {
+	if got, _ := NoiseFloorMax(mag); got != 0.1 {
 		t.Fatalf("noise floor %v, want 0.1", got)
 	}
 }

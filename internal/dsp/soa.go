@@ -159,14 +159,16 @@ func DiffAt(re, im []float64, j int, gap, win int64) float64 {
 // positions and the same windowed sums Ta = aHi−aLo, Tb = bHi−bLo
 // (real) and Ua, Ub (imaginary), it writes S = (Ta−Tb)² + (Ua−Ub)² —
 // the squared, undivided differential, with no divides and no Hypot —
-// or +Inf where |Ta|+|Tb|+|Ua|+|Ub| exceeds eMax. Together with
+// or +Inf where E = |Ta|+|Tb|+|Ua|+|Ub| exceeds eMax. Together with
 // ScreenBounds it proves a position below threshold without computing
-// its exact value; see ScreenBounds for the bound.
-func DiffSweepScreen(re, im []float64, j0 int, gap, win int64, eMax float64, dst []float64) {
+// its exact value; see ScreenBounds for the bound. It returns the
+// largest E over the range (0 for an empty one), which sizes the
+// rounding band of a calibration window (ScreenWindow).
+func DiffSweepScreen(re, im []float64, j0 int, gap, win int64, eMax float64, dst []float64) (eSeen float64) {
 	g, w := int(gap), int(win)
 	n := len(dst)
 	if n == 0 {
-		return
+		return 0
 	}
 	aHiR := re[j0+g+w:][:n]
 	aLoR := re[j0+g:][:n]
@@ -184,11 +186,16 @@ func DiffSweepScreen(re, im []float64, j0 int, gap, win int64, eMax float64, dst
 		ub := bHiI[i] - bLoI[i]
 		dr, di := ta-tb, ua-ub
 		s := dr*dr + di*di
-		if math.Abs(ta)+math.Abs(tb)+math.Abs(ua)+math.Abs(ub) > eMax {
+		e := math.Abs(ta) + math.Abs(tb) + math.Abs(ua) + math.Abs(ub)
+		if e > eMax {
 			s = inf
+		}
+		if e > eSeen {
+			eSeen = e
 		}
 		dst[i] = s
 	}
+	return eSeen
 }
 
 // screenMinThreshold is the smallest threshold ScreenBounds screens

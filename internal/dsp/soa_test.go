@@ -146,7 +146,7 @@ func FuzzDiffSweepSparse(f *testing.F) {
 	})
 }
 
-// TestMedianFloatMatchesSort pins the quickselect median against the
+// TestMedianFloatMatchesSort pins NoiseFloorMax's median against the
 // sorted-slice definition on random data, heavy ties, and NaNs.
 func TestMedianFloatMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -173,11 +173,11 @@ func TestMedianFloatMatchesSort(t *testing.T) {
 			}
 		}
 		orig := append([]float64(nil), xs...)
-		got := MedianFloat(xs)
+		got, _ := NoiseFloorMax(xs)
 		want := sortedMedian(orig)
 		same := got == want || (math.IsNaN(got) && math.IsNaN(want))
 		if !same {
-			t.Fatalf("trial %d (n=%d): MedianFloat %v != sorted median %v", trial, n, got, want)
+			t.Fatalf("trial %d (n=%d): NoiseFloorMax median %v != sorted median %v", trial, n, got, want)
 		}
 		for i := range xs {
 			o := orig[i]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"lf/internal/dsp"
 	"lf/internal/obs"
@@ -135,15 +136,18 @@ type Stream struct {
 	// holds dsp.DiffSweepScreen values instead of magnitudes (screenBlank
 	// where blanked), and exactAt recomputes the exact magnitude wherever
 	// one is read. screenFrom is math.MaxInt64 while the sweep is exact.
+	// Before calibration the screen is uncut (screenEMax = +Inf) and
+	// calibE tracks the largest E it saw, which sizes calibrate's band.
 	screenFrom  int64
 	screenLimit float64
 	screenEMax  float64
+	calibE      float64
 
-	scanned  int64          // local-maximum scan is complete for positions < scanned
-	raw      []dsp.Peak     // raw maxima awaiting a safe NMS/coalesce cut
-	nms      dsp.Suppressor // reusable NMS scratch for suppressChunk
-	kept     []dsp.Peak     // scratch for suppressChunk
-	groups   []group        // coalesced groups awaiting refinement; head at ghead
+	scanned int64 // local-maximum scan is complete for positions < scanned
+	// Peak and group scratch (head group at ghead), taken from
+	// scratchPool at NewStream and returned at Release through held.
+	scratch
+	held     *scratch
 	ghead    int
 	prevLast int64 // last peak position of the previously refined group
 	havePrev bool
@@ -214,7 +218,8 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		}
 	}
 	s := &Stream{cfg: cfg.Config, calib: cfg.CalibSamples, workers: work.Resolve(cfg.Parallelism),
-		em: cfg.Metrics, meter: cfg.Meter, screenFrom: math.MaxInt64}
+		em: cfg.Metrics, meter: cfg.Meter, screenEMax: math.Inf(1)}
+	s.takeScratch()
 	if m := cfg.Masked; m != nil {
 		n := int64(len(m.Samples))
 		active := m.Active
@@ -262,6 +267,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 func (s *Stream) Reset() {
 	if s.released {
 		s.sumsRe, s.sumsIm, s.mag = pool.Float(0), pool.Float(0), pool.Float(0)
+		s.takeScratch()
 		s.released = false
 	}
 	// A reset masked stream becomes a push stream (and drops any
@@ -273,7 +279,7 @@ func (s *Stream) Reset() {
 	s.mag = s.mag[:0]
 	s.magBase, s.magDone = 0, 0
 	s.calibrated, s.floor, s.threshold = false, 0, 0
-	s.screenFrom = math.MaxInt64
+	s.screenFrom, s.screenEMax, s.calibE = 0, math.Inf(1), 0
 	s.scanned = 0
 	s.raw, s.kept = s.raw[:0], s.kept[:0]
 	s.groups, s.ghead = s.groups[:0], 0
@@ -414,6 +420,35 @@ func (s *Stream) Release() {
 		pool.PutFloat(s.mag)
 		s.mag = nil
 	}
+	s.returnScratch()
+}
+
+// scratch is the detector's peak and group scratch. Every capture
+// regrows it through scanAt, suppressChunk, coalesceInto and
+// finalizeGroups, so streams hand it on through scratchPool instead of
+// starting each capture at zero capacity.
+type scratch struct {
+	raw    []dsp.Peak     // raw maxima awaiting a safe NMS/coalesce cut
+	nms    dsp.Suppressor // reusable NMS scratch for suppressChunk
+	kept   []dsp.Peak     // suppressChunk's output
+	groups []group        // coalesced groups awaiting refinement
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// takeScratch moves a pooled scratch into the stream, emptied.
+func (s *Stream) takeScratch() {
+	s.held = scratchPool.Get().(*scratch)
+	s.scratch = *s.held
+	s.raw, s.kept, s.groups = s.raw[:0], s.kept[:0], s.groups[:0]
+}
+
+// returnScratch hands the stream's scratch back to the pool, leaving
+// the stream with empty scratch.
+func (s *Stream) returnScratch() {
+	*s.held = s.scratch
+	scratchPool.Put(s.held)
+	s.scratch, s.held = scratch{}, nil
 }
 
 // Edges returns the edges finalised so far, in increasing position.
@@ -549,11 +584,23 @@ func (s *Stream) exactAt(i int64) float64 {
 
 // startScreen switches the sweep to screening from the next position it
 // computes on, provided the threshold lies where dsp.ScreenBounds'
-// proof holds; otherwise the sweep stays exact.
+// proof holds; otherwise the sweep is exact from here on.
 func (s *Stream) startScreen() {
+	s.screenFrom = math.MaxInt64
 	if limit, eMax, ok := dsp.ScreenBounds(s.threshold, s.cfg.Win); ok {
 		s.screenFrom, s.screenLimit, s.screenEMax = s.magDone, limit, eMax
 	}
+}
+
+// resweep recomputes the whole magnitude series, screened from position
+// from on and exact below it: the exact fallback of calibration
+// (math.MaxInt64) or the re-screen of its window with the calibrated
+// cut (0). It runs only before anything is trimmed.
+func (s *Stream) resweep(from int64) {
+	hi := s.magDone
+	s.screenFrom = from
+	s.mag, s.magDone = s.mag[:0], s.magBase
+	s.sweepTo(hi)
 }
 
 // spansOK reports whether spans are sorted, separated (neither
@@ -723,9 +770,15 @@ func (s *Stream) sweepTo(hi int64) {
 		blank = screenBlank
 	}
 	intLo, intHi := margin, s.limit()-margin
+	var mu sync.Mutex
 	sweepChunk := func(plo, phi int64) {
-		sweepRange(s.mag[plo-s.magBase:phi-s.magBase], s.sumsRe, s.sumsIm, s.sumBase,
+		e := sweepRange(s.mag[plo-s.magBase:phi-s.magBase], s.sumsRe, s.sumsIm, s.sumBase,
 			plo, phi, intLo, intHi, g, w, screen, s.screenEMax)
+		if !s.calibrated {
+			mu.Lock()
+			s.calibE = max(s.calibE, e)
+			mu.Unlock()
+		}
 	}
 	if s.active == nil {
 		s.meter.DoRanges(s.workers, count, func(clo, chi int) {
@@ -771,6 +824,14 @@ func (s *Stream) sweepTo(hi int64) {
 // calibrate fixes the threshold over the configured prefix, or over the
 // whole series at Close when CalibSamples is 0, then starts the screen.
 // It reports whether the stream is calibrated.
+//
+// The window holds uncut screen values, and the floor and maximum come
+// from them through dsp.ScreenWindow, which computes exact magnitudes
+// only inside the rounding band of each order statistic (DESIGN.md §12,
+// "Calibration"). The window is then re-screened with the threshold's
+// cut if any position exceeds it. Where the screen cannot calibrate
+// (an overflowed square) or dsp.ScreenBounds refuses the threshold,
+// the window is swept exactly instead, as before screening.
 func (s *Stream) calibrate() bool {
 	calibN := int64(-1)
 	switch {
@@ -785,23 +846,47 @@ func (s *Stream) calibrate() bool {
 	if calibN < 0 {
 		return false
 	}
-	window := s.mag[:calibN-s.magBase]
-	s.floor = dsp.NoiseFloor(window)
+	// Nothing is trimmed before calibration, so mag and the prefix sums
+	// both start at position 0.
+	sw := dsp.ScreenWindow{Screen: s.mag[:calibN], ESeen: s.calibE,
+		Re: s.sumsRe, Im: s.sumsIm, Gap: s.cfg.Gap, Win: s.cfg.Win}
+	var top, maxMag float64
+	screened := false
+	if s.screenFrom == 0 {
+		if s.floor, top, screened = sw.Floor(); !screened {
+			s.resweep(math.MaxInt64)
+		}
+	}
+	if !screened {
+		s.floor, maxMag = dsp.NoiseFloorMax(s.mag[:calibN])
+	}
 	s.threshold = s.floor * s.cfg.ThresholdFactor
 	// Guard against a (near-)noiseless capture, as in the batch
 	// detector: a hard floor at a small fraction of the strongest
-	// differential seen in the calibration window.
-	var maxMag float64
-	for _, v := range window {
-		if v > maxMag {
-			maxMag = v
-		}
+	// differential seen in the calibration window. From the screen the
+	// maximum is resolved only when its upper bound could raise the
+	// threshold: 0.05·maxMag rounds to at most 0.05·Upper(top).
+	if screened && 0.05*sw.Upper(top) > s.threshold {
+		maxMag = sw.Max(top)
 	}
 	if min := 0.05 * maxMag; s.threshold < min {
 		s.threshold = min
 	}
 	s.calibrated = true
-	s.startScreen()
+	if !screened {
+		s.startScreen()
+		return true
+	}
+	limit, eMax, ok := dsp.ScreenBounds(s.threshold, s.cfg.Win)
+	switch {
+	case !ok:
+		s.resweep(math.MaxInt64)
+	case s.calibE > eMax:
+		s.screenLimit, s.screenEMax = limit, eMax
+		s.resweep(0)
+	default:
+		s.screenLimit, s.screenEMax = limit, eMax
+	}
 	return true
 }
 
@@ -809,9 +894,11 @@ func (s *Stream) calibrate() bool {
 // positions [lo, hi) to raw. A position whose stored value proves it
 // below threshold — the magnitude itself in the exact range, a screen
 // value under screenLimit past screenFrom — is skipped without further
-// reads; every comparison after that uses exact magnitudes.
+// reads; every comparison after that uses exact magnitudes, carried
+// through each run of candidates so each position is read once.
 func (s *Stream) scanRange(lo, hi int64) {
 	limit := s.limit()
+	var run exactRun
 	for lo < hi {
 		end, cut := min(hi, s.screenFrom), s.threshold
 		if lo >= s.screenFrom {
@@ -819,27 +906,55 @@ func (s *Stream) scanRange(lo, hi int64) {
 		}
 		for k, m := range s.mag[lo-s.magBase : end-s.magBase] {
 			if !(m < cut) {
-				s.scanAt(lo+int64(k), limit)
+				s.scanAt(lo+int64(k), limit, &run)
 			}
 		}
 		lo = end
 	}
 }
 
+// exactRun holds the exact magnitudes of up to three consecutive
+// positions base, base+1, base+2 (bit k of have set when base+k is
+// held), so scanAt's candidate and neighbour reads along a run of
+// candidates each compute a position once.
+type exactRun struct {
+	base int64
+	v    [3]float64
+	have uint8
+}
+
+// at returns exactAt(i) through run. A read one past the held positions
+// slides the run by one; a read elsewhere restarts it around i.
+func (s *Stream) at(run *exactRun, i int64) float64 {
+	d := i - run.base
+	switch {
+	case d == 3:
+		run.v[0], run.v[1] = run.v[1], run.v[2]
+		run.base, run.have, d = run.base+1, run.have>>1, 2
+	case d < 0 || d > 3:
+		run.base, run.have, d = i-1, 0, 1
+	}
+	if run.have&(1<<d) == 0 {
+		run.v[d] = s.exactAt(i)
+		run.have |= 1 << d
+	}
+	return run.v[d]
+}
+
 // scanAt appends position i to raw if its exact magnitude reaches the
 // threshold and is a local maximum (the first of a plateau).
-func (s *Stream) scanAt(i, limit int64) {
-	v := s.exactAt(i)
+func (s *Stream) scanAt(i, limit int64, run *exactRun) {
+	v := s.at(run, i)
 	if v < s.threshold {
 		return
 	}
 	var prev float64
 	if i > 0 {
-		if prev = s.exactAt(i - 1); prev > v {
+		if prev = s.at(run, i-1); prev > v {
 			return
 		}
 	}
-	if i+1 < limit && s.exactAt(i+1) > v {
+	if i+1 < limit && s.at(run, i+1) > v {
 		return
 	}
 	if i > 0 && prev == v {
@@ -901,7 +1016,7 @@ func (s *Stream) flushPeaks() {
 
 // suppressChunk is greedy non-maximum suppression over one flushed
 // chunk, reusing stream-owned scratch so the steady state allocates
-// nothing. It delegates to the shared dsp cell-grid pass: peaks are
+// nothing. It delegates to the shared dsp per-run pass: peaks are
 // visited in (value desc, position asc) order — a total order, so the
 // result is deterministic even under exact value ties — and returned
 // sorted by position, like dsp.Suppress, in O(n log n) where the

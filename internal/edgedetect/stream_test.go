@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"lf/internal/dsp"
 	"lf/internal/tag"
 )
 
@@ -162,6 +163,75 @@ func TestBlockAdmissionMatchesSampleOK(t *testing.T) {
 			if got, want := inadmissible(v)&signBit == 0, sampleOK(v); got != want {
 				t.Errorf("(%v, %v): block admission %v, sampleOK %v", re, im, got, want)
 			}
+		}
+	}
+}
+
+// exactCalibration returns the floor and threshold the exact
+// calibration derives from the first n positions of samples: the
+// median and maximum over exact differential magnitudes, the capture
+// margins blanked to 0.
+func exactCalibration(samples []complex128, n int, cfg Config) (floor, threshold float64) {
+	p := dsp.NewPrefixSoA(samples)
+	defer p.Release()
+	margin := int(SweepMargin(cfg.Gap, cfg.Win))
+	mag := make([]float64, len(samples))
+	if len(samples) > 2*margin {
+		dsp.DiffSweep(p.Re, p.Im, margin, cfg.Gap, cfg.Win, mag[margin:len(samples)-margin])
+	}
+	floor, top := dsp.NoiseFloorMax(mag[:n])
+	return floor, max(floor*cfg.ThresholdFactor, 0.05*top)
+}
+
+// TestCalibrateFromScreen checks that calibration takes the screened
+// path — the window is screened from position 0 afterwards — and that
+// the floor and threshold match the exact calibration bit for bit: on a
+// noisy capture and at the admission limit through the screen, and
+// through the exact fallback on a noiseless capture (whose threshold
+// dsp.ScreenBounds refuses) and on one whose screen squares overflow
+// (which dsp.ScreenWindow refuses; that takes a window of thousands of
+// samples at the admission limit).
+func TestCalibrateFromScreen(t *testing.T) {
+	toggles := []tag.Toggle{{Time: 40e-6, State: 1}, {Time: 200e-6, State: 0}, {Time: 201e-6, State: 1}}
+	noisy := capture(t, complex(8e-4, -3e-4), 2.5e-9, toggles, 400e-6).Samples
+	square := func(n, period int) []complex128 {
+		out := make([]complex128, n)
+		for i := range out {
+			out[i] = complex(9e149, -9e149)
+			if i%period < period/2 {
+				out[i] = -out[i]
+			}
+		}
+		return out
+	}
+	wide := DefaultConfig()
+	wide.Win, wide.MaxWin = 8000, 8000
+	for _, c := range []struct {
+		name     string
+		samples  []complex128
+		cfg      Config
+		screened bool
+	}{
+		{"noisy", noisy, DefaultConfig(), true},
+		{"limit", square(5000, 700), DefaultConfig(), true},
+		{"silent", make([]complex128, 5000), DefaultConfig(), false},
+		{"overflow", square(60000, 20000), wide, false},
+	} {
+		for _, calib := range []int64{0, 4096} {
+			cfg := StreamConfig{Config: c.cfg, CalibSamples: calib}
+			s := pushBlocks(t, c.samples, cfg, 1000)
+			n := len(c.samples)
+			if calib > 0 {
+				n = int(calib)
+			}
+			floor, threshold := exactCalibration(c.samples, n, c.cfg)
+			if math.Float64bits(s.NoiseFloor()) != math.Float64bits(floor) || math.Float64bits(s.Threshold()) != math.Float64bits(threshold) {
+				t.Errorf("%s calib=%d: floor %v threshold %v, exact %v %v", c.name, calib, s.NoiseFloor(), s.Threshold(), floor, threshold)
+			}
+			if got := s.screenFrom == 0; got != c.screened {
+				t.Errorf("%s calib=%d: window screened %v, want %v", c.name, calib, got, c.screened)
+			}
+			s.Release()
 		}
 	}
 }

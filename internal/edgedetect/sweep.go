@@ -46,8 +46,8 @@ func (j *StripeJob) Run() {
 }
 
 // screenBlank marks a blanked position in a screened magnitude range:
-// any negative value reads as exact 0 (Stream.exactAt), and stays below
-// every screen limit.
+// any negative value reads as exact 0 (Stream.exactAt and
+// dsp.ScreenWindow), and stays below every screen limit.
 const screenBlank = -1
 
 // sweepRange computes the differential magnitudes of positions
@@ -56,8 +56,9 @@ const screenBlank = -1
 // interior [intLo, intHi) are blanked, as clamped half-windows there
 // would read as phantom edges. With screen set, interior positions get
 // dsp.DiffSweepScreen values for eMax instead of exact ones, and blanked
-// positions screenBlank instead of 0.
-func sweepRange(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w int64, screen bool, eMax float64) {
+// positions screenBlank instead of 0; the screen's largest E is
+// returned (0 for an exact sweep).
+func sweepRange(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w int64, screen bool, eMax float64) (eSeen float64) {
 	blank := 0.0
 	if screen {
 		blank = screenBlank
@@ -69,7 +70,7 @@ func sweepRange(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w int64, s
 	}
 	if ilo < ihi {
 		if screen {
-			dsp.DiffSweepScreen(re, im, int(ilo-base), g, w, eMax, dst[ilo-lo:ihi-lo])
+			eSeen = dsp.DiffSweepScreen(re, im, int(ilo-base), g, w, eMax, dst[ilo-lo:ihi-lo])
 		} else {
 			dsp.DiffSweep(re, im, int(ilo-base), g, w, dst[ilo-lo:ihi-lo])
 		}
@@ -77,4 +78,5 @@ func sweepRange(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w int64, s
 	for p := max(ihi, lo); p < hi; p++ {
 		dst[p-lo] = blank
 	}
+	return eSeen
 }

@@ -95,7 +95,9 @@ func CheckAnchorScan(t *testing.T, tally *PruneTally, edges []edgedetect.Edge, o
 	if missPenalty == 0 {
 		regime = 1
 	}
-	probe := headProbe(edges, period, gens, target, cfg)
+	memo := getLatticeMemo(len(edges), gens[target])
+	defer memoPool.Put(memo)
+	probe := headProbe(edges, period, gens, target, cfg, memo)
 	counted := scanHeads(edges, offset, period, missPenalty, minScore, cfg, func(pos float64, slotsAway int) bool {
 		switch slotsAway {
 		case 0:

@@ -3,6 +3,7 @@ package streams
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"lf/internal/dsp"
 	"lf/internal/edgedetect"
@@ -609,7 +610,8 @@ func fitGenerator(edges []edgedetect.Edge, members []int, gens []complex128, tar
 // edges are forgiven more generously.
 func validateHead(edges []edgedetect.Edge, st *Stream, siblings []complex128, target int, shadowed bool, cfg Config) bool {
 	head := 0
-	memo := newLatticeMemo(len(edges), siblings[target])
+	memo := getLatticeMemo(len(edges), siblings[target])
+	defer memoPool.Put(memo)
 	cur := 0
 	for k := 0; k < cfg.PreambleLen; k++ {
 		expect := st.Offset + float64(k)*st.Period
@@ -647,18 +649,34 @@ func cancellable(gens []complex128, target int) bool {
 // head validation re-test the same edges at many overlapping scan
 // positions, and each latticeFit enumerates {−1,0,1}^n — caching the
 // pure function's value is bit-identical to recomputing it and removes
-// the enumeration from all repeat visits. NaN marks an uncomputed entry
-// (latticeFit never returns NaN for finite inputs: dsp.Dist of finite
-// values is finite).
+// the enumeration from all repeat visits. A scan reads a few dozen of
+// the edges, so entries are marked valid by a generation stamp instead
+// of being filled per scan: an entry holds a result only when its stamp
+// equals gen. The arrays live in memoPool and are reused across scans.
 type latticeMemo struct {
-	with, without []float64
 	eAbs          float64
+	gen           uint32
+	stamp         []uint32
+	with, without []float64
 }
 
-func newLatticeMemo(n int, e complex128) *latticeMemo {
-	m := &latticeMemo{with: make([]float64, n), without: make([]float64, n), eAbs: dsp.Abs(e)}
-	for i := range m.with {
-		m.with[i] = math.NaN()
+var memoPool = sync.Pool{New: func() any { return new(latticeMemo) }}
+
+// getLatticeMemo takes an empty memo for n edges and generator e from
+// memoPool; the caller puts it back when its scan is done.
+func getLatticeMemo(n int, e complex128) *latticeMemo {
+	m := memoPool.Get().(*latticeMemo)
+	m.eAbs = dsp.Abs(e)
+	if len(m.stamp) < n {
+		m.stamp = make([]uint32, n)
+		m.with = make([]float64, n)
+		m.without = make([]float64, n)
+		m.gen = 0
+	}
+	m.gen++
+	if m.gen == 0 {
+		clear(m.stamp)
+		m.gen = 1
 	}
 	return m
 }
@@ -691,12 +709,12 @@ func eOccupied(edges []edgedetect.Edge, cur *int, pos, tol float64, gens []compl
 			continue
 		}
 		var with, without float64
-		if memo != nil && !math.IsNaN(memo.with[i]) {
+		if memo != nil && memo.stamp[i] == memo.gen {
 			with, without = memo.with[i], memo.without[i]
 		} else {
 			with, without = latticeFit(edges[i].Diff, gens, target)
 			if memo != nil {
-				memo.with[i], memo.without[i] = with, without
+				memo.stamp[i], memo.with[i], memo.without[i] = memo.gen, with, without
 			}
 		}
 		if with < without-0.2*eAbs {
@@ -756,7 +774,9 @@ func AnchorFor(edges []edgedetect.Edge, offset, period float64, e complex128, cf
 // occupancy test understands collided frame heads.
 func anchorScan(edges []edgedetect.Edge, offset, period float64, gens []complex128, target int, shadowed bool, cfg Config) float64 {
 	missPenalty, minScore := headGate(gens, target, shadowed, cfg)
-	return scanHeads(edges, offset, period, missPenalty, minScore, cfg, headProbe(edges, period, gens, target, cfg))
+	memo := getLatticeMemo(len(edges), gens[target])
+	defer memoPool.Put(memo)
+	return scanHeads(edges, offset, period, missPenalty, minScore, cfg, headProbe(edges, period, gens, target, cfg, memo))
 }
 
 // headGate returns the frame-head template's per-slot miss penalty and
@@ -773,9 +793,9 @@ func headGate(gens []complex128, target int, shadowed bool, cfg Config) (missPen
 // headProbe returns the template's occupancy probe: whether the slot
 // at pos, slotsAway periods from the candidate anchor, holds an edge
 // in which gens[target] participates. Each template slot keeps its own
-// lookup cursor, which moves forward with the scan.
-func headProbe(edges []edgedetect.Edge, period float64, gens []complex128, target int, cfg Config) func(pos float64, slotsAway int) bool {
-	memo := newLatticeMemo(len(edges), gens[target])
+// lookup cursor, which moves forward with the scan. memo must come from
+// getLatticeMemo for (edges, gens[target]).
+func headProbe(edges []edgedetect.Edge, period float64, gens []complex128, target int, cfg Config, memo *latticeMemo) func(pos float64, slotsAway int) bool {
 	curs := make([]int, cfg.PreambleLen+3) // slots −2 … PreambleLen
 	return func(pos float64, slotsAway int) bool {
 		// Tolerance grows with distance from the fit origin: clock
