@@ -17,15 +17,15 @@ vet:
 test:
 	$(GO) test ./...
 
-# The race gate exercises the parallel pipeline (decoder fan-out,
-# chunked edge detection, epoch-level experiment workers) under the
-# race detector; the suite's determinism tests run both serial and
-# parallel paths, so this covers every pool in the tree.
+# The race gate runs the tree's concurrency under the race detector:
+# the gateway's session fleet, the experiments' epoch workers, and
+# concurrent decoders sharing pooled scratch (one decode itself is
+# serial; TestDecodeDeterminismAcrossParallelism runs eight at once).
 race:
 	$(GO) test -race ./...
 
 # Focused race pass over the streaming-vs-batch equivalence suite: the
-# streaming decoder shares worker pools with the batch path, so the
+# streaming decoder shares pooled scratch with the batch path, so the
 # bit-identity tests double as a race probe of every incremental stage.
 race-stream:
 	$(GO) test -race -run 'TestStreaming' .
@@ -77,12 +77,12 @@ kernel-smoke:
 # Observability smoke: the golden-trace corpus (batch + streaming,
 # byte-for-byte against testdata/golden/) and the metrics conservation
 # sweep (accounting identities across every fault kind), both under the
-# race detector so the atomic counter paths are exercised concurrently.
+# race detector.
 obs-smoke:
 	$(GO) test -race -run 'TestGolden|TestMetricsConservation|TestStatsDeterminism' .
 
 # Incremental-SIC smoke: the batch vs streaming byte-identity matrix
-# (fault kinds x rounds, block/parallelism composition, vacuity guard)
+# (fault kinds x rounds, block-size composition, vacuity guard)
 # and the decoder's residual-fill and SIC unit tests under the race
 # detector, and the edge detector's masked residual fold suite.
 sic-smoke:

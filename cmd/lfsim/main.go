@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	lfsim [-tags N] [-rate bps] [-payload-ms ms] [-seed N] [-workers N]
+//	lfsim [-tags N] [-rate bps] [-payload-ms ms] [-seed N]
 //	      [-stream] [-block N] [-calib N]
 //	      [-record FILE] [-replay FILE]
 //	      [-fault SPEC] [-fault-seed N] [-stats] [-v]
@@ -40,7 +40,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-stream detail")
 	record := flag.String("record", "", "write the epoch's IQ capture to this file (LFIQ container)")
 	replay := flag.String("replay", "", "decode a previously recorded capture instead of simulating (scoring unavailable)")
-	workers := flag.Int("workers", 0, "decoder parallelism (0 = all cores, 1 = serial); the decode is bit-identical at any setting")
 	stream := flag.Bool("stream", false, "decode through the streaming pipeline (bounded memory, frames surface mid-capture); bit-identical to batch")
 	block := flag.Int("block", 8192, "streaming block size in samples (with -stream)")
 	calib := flag.Int64("calib", 32768, "noise-calibration sample budget for -stream (0 defers decoding to end of capture)")
@@ -68,7 +67,6 @@ func main() {
 		fatal(err)
 	}
 	dcfg := net.DecoderConfig()
-	dcfg.Parallelism = *workers
 	// Streaming-progress observables, fed by OnFrame as frames commit
 	// mid-capture.
 	var pushed, firstFrame, peak int64

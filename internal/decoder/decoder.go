@@ -78,12 +78,6 @@ type Config struct {
 	CancellationRounds int
 	// Seed drives the decoder's internal randomness (k-means restarts).
 	Seed int64
-	// Parallelism bounds the worker pool the pipeline fans out on:
-	// chunked edge detection, per-stream walking, merged-pair splitting,
-	// sequence decoding, and SIC reconstruction (0 = all cores,
-	// 1 = serial). Decoder-internal randomness is split per stream in a
-	// fixed order, so the decode is bit-identical at any setting.
-	Parallelism int
 	// CalibSamples bounds the edge detector's noise calibration to the
 	// first CalibSamples differential magnitudes, which is what lets
 	// the streaming decoder start detecting — and bound its memory —
@@ -114,8 +108,8 @@ type Config struct {
 	// Tracer, when non-nil, receives structured span events —
 	// calibrate, register, commit, per-frame, sic, flush — emitted on
 	// the pushing goroutine at deterministic points, mirroring OnFrame.
-	// The event sequence is identical at any Parallelism and block
-	// size. SIC residual passes run untraced.
+	// The event sequence is identical at any block size. SIC residual
+	// passes run untraced.
 	Tracer obs.Tracer
 
 	// testStreamHook, when non-nil, runs against each stream result
@@ -157,7 +151,6 @@ func DefaultConfig(sampleRate float64, rates []float64, payloadBits int) Config 
 		MinBlindPoints:     24,
 		CancellationRounds: 3,
 		Seed:               1,
-		Parallelism:        0,
 	}
 }
 
@@ -227,13 +220,11 @@ type Result struct {
 // and flushed — so batch and streaming decode are one pipeline and
 // bit-identical by construction.
 //
-// The per-stream stages (slot walking, merged-pair splitting, sequence
-// decoding) and the sample-range stages (edge detection, SIC residual
-// subtraction) fan out across a bounded worker pool sized by
-// cfg.Parallelism. Decoder-internal randomness is pre-split into one
-// deterministic source per stream (and one for collision resolution),
-// so the decode is bit-identical at any worker count, including the
-// fully serial Parallelism=1 path.
+// The whole decode runs on the calling goroutine; concurrent Decode
+// calls share nothing but pooled scratch. Decoder-internal randomness
+// is split into one labelled source per stream (and one for collision
+// resolution) in a fixed order, so the decode is a pure function of
+// the capture and the configuration.
 func Decode(capture *iq.Capture, cfg Config) (*Result, error) {
 	if cfg.PayloadBits == nil {
 		return nil, errAt(StageInput, -1, fmt.Errorf("decoder: PayloadBits is required"))
@@ -292,9 +283,6 @@ func decodeStates(sr *StreamResult, cfg Config, sigma2 float64) {
 		// before the frame, so the implicit previous edge is a
 		// falling one. The windowed recursion bounds survivor-path
 		// state at cfg.ViterbiWindow (0 = viterbi.DefaultWindow).
-		// Commit counters are atomic adds from per-stream decoders on
-		// the worker pool; addition commutes, so totals stay
-		// deterministic.
 		vm := cfg.metrics().Viterbi
 		var margin float64
 		sr.States, margin = viterbi.NewDecoder(0.5, viterbi.Down).

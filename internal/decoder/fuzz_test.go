@@ -38,7 +38,6 @@ func FuzzStreamPush(f *testing.F) {
 		cfg := DefaultConfig(1e6, []float64{100e3, 50e3}, 24)
 		cfg.CalibSamples = 256
 		cfg.CancellationRounds = 0
-		cfg.Parallelism = 1
 		sd, err := NewStreamDecoder(1e6, cfg)
 		if err != nil {
 			t.Fatal(err)

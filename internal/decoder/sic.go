@@ -12,7 +12,6 @@ import (
 	"lf/internal/pool"
 	"lf/internal/streams"
 	"lf/internal/viterbi"
-	"lf/internal/work"
 )
 
 // Successive interference cancellation (SIC). A tag that failed to
@@ -274,13 +273,12 @@ func (sd *StreamDecoder) runCancellation() {
 			// historical re-decode.)
 			break
 		}
-		// Reconstruct the new streams in parallel (each writes only its
-		// own segment list); their non-zero extents are the samples
-		// whose residual this round changes.
+		// Reconstruct the new streams; their non-zero extents are the
+		// samples whose residual this round changes.
 		fresh := make([][]reconSeg, len(newTrusted))
-		sd.meter.Do(sd.workers, len(newTrusted), func(i int) {
-			fresh[i] = reconstruct(newTrusted[i], n, ramp)
-		})
+		for i, sr := range newTrusted {
+			fresh[i] = reconstruct(sr, n, ramp)
+		}
 		// The detection mask for this round's residual pass: the touched
 		// spans widened by the sweep's cut distance, closed over the
 		// extents of already-decoded streams they interact with.
@@ -413,7 +411,7 @@ func (sd *StreamDecoder) residualDecode(st *sicState, contribs [][]reconSeg, act
 	defer sd.observe(sd.m.Stage.SIC, ts)
 	if calib != nil && !st.pushPath {
 		regions := sd.laneRegions(active, n)
-		fillResidual(residual, sd.retain, contribs, regions, sd.meter, sd.workers)
+		fillResidual(residual, sd.retain, contribs, regions)
 		sub.sicMasked = &edgedetect.MaskedCapture{Samples: residual, Active: active, Regions: regions}
 		res, err := Decode(resCap, sub)
 		if !errors.Is(err, edgedetect.ErrInadmissible) {
@@ -422,35 +420,31 @@ func (sd *StreamDecoder) residualDecode(st *sicState, contribs [][]reconSeg, act
 		st.pushPath = true
 		sub.sicMasked = nil
 	}
-	fillResidual(residual, sd.retain, contribs, []edgedetect.Span{{Lo: 0, Hi: int64(n)}}, sd.meter, sd.workers)
+	fillResidual(residual, sd.retain, contribs, []edgedetect.Span{{Lo: 0, Hi: int64(n)}})
 	return Decode(resCap, sub)
 }
 
 // fillResidual writes retain minus every contribution, subtracted in
 // contribution order, into dst over each span; dst outside the spans
 // is left as it was. Every sample sees the same subtraction sequence
-// whatever the spans and the worker tiling, so a region-local fill is
-// bitwise equal, inside its regions, to a fill of the whole capture.
-func fillResidual(dst, retain []complex128, contribs [][]reconSeg, spans []edgedetect.Span, meter *work.Meter, workers int) {
+// whatever the spans, so a region-local fill is bitwise equal, inside
+// its regions, to a fill of the whole capture.
+func fillResidual(dst, retain []complex128, contribs [][]reconSeg, spans []edgedetect.Span) {
 	for _, r := range spans {
-		base := int(r.Lo)
-		meter.DoRanges(workers, int(r.Len()), func(lo, hi int) {
-			lo, hi = base+lo, base+hi
-			copy(dst[lo:hi], retain[lo:hi])
-			subtractSegs(dst, contribs, lo, hi)
-		})
+		copy(dst[r.Lo:r.Hi], retain[r.Lo:r.Hi])
+		subtractSegs(dst, contribs, int(r.Lo), int(r.Hi))
 	}
 }
 
 // subtractSegs subtracts every contribution's segments overlapping
 // [lo, hi) from the residual, in contribution order: each sample sees
 // the exact same subtraction sequence as the serial stream-major loop,
-// so the residual is bit-identical at any worker count and any range
-// tiling. A constant segment whose value is exactly (+0, +0) is
-// skipped: x - (+0.0) == x bitwise for every float64 (including ±0;
-// NaN payloads are irrelevant downstream, which only tests IsNaN), and
-// most of a capture lies in such segments — the pre-preamble and
-// post-frame stretches of every reconstruction.
+// so the residual is bit-identical at any range tiling. A constant
+// segment whose value is exactly (+0, +0) is skipped: x - (+0.0) == x
+// bitwise for every float64 (including ±0; NaN payloads are
+// irrelevant downstream, which only tests IsNaN), and most of a
+// capture lies in such segments — the pre-preamble and post-frame
+// stretches of every reconstruction.
 func subtractSegs(residual []complex128, contribs [][]reconSeg, lo, hi int) {
 	for _, segs := range contribs {
 		si := sort.Search(len(segs), func(i int) bool { return segs[i].hi > lo })

@@ -1,7 +1,6 @@
 package decoder
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,7 +39,7 @@ func bitsEqual(a, b complex128) bool {
 // densely, in order. Entries outside the regions must stay untouched. The contributions
 // cover overlapping ramps, ramps clipped at the capture end, non-zero
 // constant runs, and hand-made −0 constant runs over −0 samples (where
-// x − (−0) differs bitwise from x), at worker counts 1 and 8.
+// x − (−0) differs bitwise from x).
 func TestSICFillResidual(t *testing.T) {
 	const n = 50000
 	r := rand.New(rand.NewSource(5))
@@ -76,34 +75,30 @@ func TestSICFillResidual(t *testing.T) {
 	}
 	regions := []edgedetect.Span{{Lo: 0, Hi: 37}, {Lo: 42, Hi: 47}, {Lo: 1003, Hi: 1011}, {Lo: 5000, Hi: 20055},
 		{Lo: 20057, Hi: 45000}, {Lo: n - 30, Hi: n}}
+	whole := make([]complex128, n)
+	fillResidual(whole, retain, contribs, []edgedetect.Span{{Lo: 0, Hi: n}})
+	for i := range whole {
+		if !bitsEqual(whole[i], want[i]) {
+			t.Fatalf("whole fill at %d = %v, want %v", i, whole[i], want[i])
+		}
+	}
 	poison := complex(math.NaN(), math.NaN())
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			whole := make([]complex128, n)
-			fillResidual(whole, retain, contribs, []edgedetect.Span{{Lo: 0, Hi: n}}, nil, workers)
-			for i := range whole {
-				if !bitsEqual(whole[i], want[i]) {
-					t.Fatalf("whole fill at %d = %v, want %v", i, whole[i], want[i])
-				}
-			}
-			local := make([]complex128, n)
-			for i := range local {
-				local[i] = poison
-			}
-			fillResidual(local, retain, contribs, regions, nil, workers)
-			ri := 0
-			for i := range local {
-				for ri < len(regions) && regions[ri].Hi <= int64(i) {
-					ri++
-				}
-				inside := ri < len(regions) && regions[ri].Lo <= int64(i)
-				if inside && !bitsEqual(local[i], whole[i]) {
-					t.Fatalf("region fill at %d = %v, whole fill %v", i, local[i], whole[i])
-				}
-				if !inside && !math.IsNaN(real(local[i])) {
-					t.Fatalf("region fill wrote %v at %d, outside every region", local[i], i)
-				}
-			}
-		})
+	local := make([]complex128, n)
+	for i := range local {
+		local[i] = poison
+	}
+	fillResidual(local, retain, contribs, regions)
+	ri := 0
+	for i := range local {
+		for ri < len(regions) && regions[ri].Hi <= int64(i) {
+			ri++
+		}
+		inside := ri < len(regions) && regions[ri].Lo <= int64(i)
+		if inside && !bitsEqual(local[i], whole[i]) {
+			t.Fatalf("region fill at %d = %v, whole fill %v", i, local[i], whole[i])
+		}
+		if !inside && !math.IsNaN(real(local[i])) {
+			t.Fatalf("region fill wrote %v at %d, outside every region", local[i], i)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"lf/internal/pool"
 	"lf/internal/rng"
 	"lf/internal/streams"
-	"lf/internal/work"
 )
 
 // StreamDecoder runs the full decode pipeline over IQ samples pushed
@@ -34,7 +33,6 @@ import (
 // subtract reconstructed waveforms from the original capture.
 type StreamDecoder struct {
 	cfg        Config
-	workers    int
 	sampleRate float64
 	det        *edgedetect.Stream
 	src        *rng.Source
@@ -59,12 +57,9 @@ type StreamDecoder struct {
 	retainExt bool         // retain aliases caller-owned samples (batch path)
 
 	// Observability. m is never nil (the shared Nop pipeline when
-	// cfg.Metrics is nil); meter is nil when metrics are disabled so
-	// the pool helpers delegate straight through; timed gates the
-	// clock reads (wall time is measurement only, never a decode
-	// input).
+	// cfg.Metrics is nil); timed gates the clock reads (wall time is
+	// measurement only, never a decode input).
 	m           *obs.Pipeline
-	meter       *work.Meter
 	tracer      obs.Tracer
 	timed       bool
 	calibTraced bool
@@ -81,19 +76,9 @@ func NewStreamDecoder(sampleRate float64, cfg Config) (*StreamDecoder, error) {
 	if cfg.PayloadBits == nil {
 		return nil, errAt(StageInput, -1, fmt.Errorf("decoder: PayloadBits is required"))
 	}
-	workers := work.Resolve(cfg.Parallelism)
-	ecfg := cfg.Edge
-	if ecfg.Parallelism == 0 {
-		ecfg.Parallelism = workers
-	}
 	m := cfg.metrics()
-	var meter *work.Meter
-	if m.Registry != nil {
-		meter = &work.Meter{Batches: m.Work.Batches, Tasks: m.Work.Tasks, Occupancy: m.Work.Occupancy}
-	}
 	det, err := edgedetect.NewStream(edgedetect.StreamConfig{
-		Config: ecfg, CalibSamples: cfg.CalibSamples,
-		Metrics: m.Edge, Meter: meter,
+		Config: cfg.Edge, CalibSamples: cfg.CalibSamples, Metrics: m.Edge,
 		Calib: cfg.sicCalib, Masked: cfg.sicMasked,
 	})
 	if err != nil {
@@ -101,13 +86,11 @@ func NewStreamDecoder(sampleRate float64, cfg Config) (*StreamDecoder, error) {
 	}
 	sd := &StreamDecoder{
 		cfg:        cfg,
-		workers:    workers,
 		sampleRate: sampleRate,
 		det:        det,
 		src:        rng.New(cfg.Seed),
 		regCut:     streams.RegistrationHorizon(cfg.Streams, cfg.PayloadBits),
 		m:          m,
-		meter:      meter,
 		tracer:     cfg.Tracer,
 		timed:      m.Registry != nil,
 		res:        &Result{},
@@ -430,17 +413,15 @@ func (sd *StreamDecoder) maybeCommit() {
 	}
 	if sd.cfg.Stages.IQSeparation {
 		// Split fully merged registrations before cross-stream collision
-		// resolution; sources are derived in index order before the
-		// fan-out so worker scheduling cannot perturb the k-means
-		// restarts (see Decode).
+		// resolution. Stream i splits with the labelled child split/i of
+		// the decoder's source, drawn in index order and before the
+		// collisions child: each draw advances the parent and seeds
+		// k-means restarts, so the labels and their order are part of
+		// the decode output.
 		snapshot := append([]*StreamResult(nil), results...)
-		splitSrcs := make([]*rng.Source, len(snapshot))
-		for i := range splitSrcs {
-			splitSrcs[i] = sd.src.Split(fmt.Sprintf("split/%d", i))
-		}
 		others := make([]*StreamResult, len(snapshot))
-		errs := sd.meter.DoRecover(sd.workers, len(snapshot), func(i int) {
-			if other, ok := trySplit(snapshot[i], sd.det, sd.cfg, splitSrcs[i]); ok {
+		errs := recoverEach(len(snapshot), func(i int) {
+			if other, ok := trySplit(snapshot[i], sd.det, sd.cfg, sd.src.Split(fmt.Sprintf("split/%d", i))); ok {
 				others[i] = other
 			}
 		})
@@ -479,7 +460,7 @@ func (sd *StreamDecoder) maybeCommit() {
 		}()
 	}
 	sigma2 := obsNoiseVariance(sd.det.NoiseFloor())
-	errs := sd.meter.DoRecover(sd.workers, len(results), func(i int) {
+	errs := recoverEach(len(results), func(i int) {
 		if hook := sd.cfg.testStreamHook; hook != nil {
 			hook(results[i])
 		}
@@ -508,6 +489,27 @@ func (sd *StreamDecoder) maybeCommit() {
 		sd.tracer.Trace(obs.SpanEvent{Stage: "commit", Stream: -1, Pos: sd.commitCut, N: int64(len(sd.results))})
 	}
 	sd.emitFrames()
+}
+
+// recoverEach runs fn(i) for every i in [0, n) in index order, each
+// under its own recover: a panic in fn(i) is captured as errs[i] and
+// the loop goes on, so one misbehaving stream cannot take down its
+// siblings. errs is nil when every index completed cleanly.
+func recoverEach(n int, fn func(i int)) (errs []error) {
+	for i := 0; i < n; i++ {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if errs == nil {
+						errs = make([]error, n)
+					}
+					errs[i] = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			fn(i)
+		}()
+	}
+	return errs
 }
 
 // dropStream records the quarantine of one stream in Result.Dropped.

@@ -10,7 +10,6 @@ import (
 	"slices"
 
 	"lf/internal/pool"
-	"lf/internal/work"
 )
 
 // Prefix holds cumulative sums of a complex series so that the mean of
@@ -85,21 +84,16 @@ func (p *Prefix) Differential(pos, gap, win int64) complex128 {
 }
 
 // DifferentialSeriesInto fills dst (which must have length p.Len())
-// with |Differential| at every sample position, fanning the work out
-// over at most `workers` goroutines (see work.Resolve for the knob
-// semantics). Each position is a pure O(1) function of the prefix
-// sums, so the chunked result is bit-identical to the serial one at
-// any worker count.
-func (p *Prefix) DifferentialSeriesInto(dst []float64, gap, win int64, workers int) {
+// with |Differential| at every sample position. Each position is a
+// pure O(1) function of the prefix sums.
+func (p *Prefix) DifferentialSeriesInto(dst []float64, gap, win int64) {
 	if int64(len(dst)) != p.n {
 		panic("dsp: DifferentialSeriesInto length mismatch")
 	}
-	work.DoRanges(workers, int(p.n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d := p.Differential(int64(i), gap, win)
-			dst[i] = math.Hypot(real(d), imag(d))
-		}
-	})
+	for i := int64(0); i < p.n; i++ {
+		d := p.Differential(i, gap, win)
+		dst[i] = math.Hypot(real(d), imag(d))
+	}
 }
 
 // NoiseFloorMax estimates the background level of a

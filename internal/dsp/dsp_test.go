@@ -72,7 +72,7 @@ func TestDifferentialSeriesPeaksAtStep(t *testing.T) {
 	}
 	p := NewPrefix(samples)
 	mag := make([]float64, p.Len())
-	p.DifferentialSeriesInto(mag, 2, 4, 1)
+	p.DifferentialSeriesInto(mag, 2, 4)
 	best := 0
 	for i, v := range mag {
 		if v > mag[best] {

@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"lf/internal/pool"
-	"lf/internal/work"
 )
 
 // PrefixSoA is Prefix with the cumulative sums split into separate
@@ -85,32 +84,25 @@ func (p *PrefixSoA) Differential(pos, gap, win int64) complex128 {
 // position, bitwise equal to Prefix.DifferentialSeriesInto: clamped
 // windows near the series ends, the branch-free DiffSweep kernel over
 // the interior.
-func (p *PrefixSoA) DifferentialSeriesInto(dst []float64, gap, win int64, workers int) {
+func (p *PrefixSoA) DifferentialSeriesInto(dst []float64, gap, win int64) {
 	if int64(len(dst)) != p.n {
 		panic("dsp: DifferentialSeriesInto length mismatch")
 	}
-	margin := gap + win
-	work.DoRanges(workers, int(p.n), func(clo, chi int) {
-		lo, hi := int64(clo), int64(chi)
-		ilo := max(lo, margin)
-		ihi := min(hi, p.n-margin)
-		if ilo >= ihi {
-			for q := lo; q < hi; q++ {
-				d := p.Differential(q, gap, win)
-				dst[q] = math.Hypot(real(d), imag(d))
-			}
-			return
-		}
-		for q := lo; q < ilo; q++ {
+	ilo, ihi := gap+win, p.n-gap-win
+	if ilo >= ihi {
+		ilo, ihi = p.n, p.n
+	}
+	clamped := func(lo, hi int64) {
+		for q := lo; q < hi; q++ {
 			d := p.Differential(q, gap, win)
 			dst[q] = math.Hypot(real(d), imag(d))
 		}
+	}
+	clamped(0, ilo)
+	if ilo < ihi {
 		DiffSweep(p.Re, p.Im, int(ilo), gap, win, dst[ilo:ihi])
-		for q := ihi; q < hi; q++ {
-			d := p.Differential(q, gap, win)
-			dst[q] = math.Hypot(real(d), imag(d))
-		}
-	})
+	}
+	clamped(ihi, p.n)
 }
 
 // DiffSweep fills dst[i] with the differential magnitude at prefix

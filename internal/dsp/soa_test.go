@@ -44,14 +44,12 @@ func TestPrefixSoAMatchesComplex(t *testing.T) {
 		}
 
 		want := make([]float64, n)
-		ref.DifferentialSeriesInto(want, 2, 3, 1)
-		for _, workers := range []int{1, 3} {
-			got := make([]float64, n)
-			soa.DifferentialSeriesInto(got, 2, 3, workers)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("series[%d] workers=%d: soa %v != complex %v", i, workers, got[i], want[i])
-				}
+		ref.DifferentialSeriesInto(want, 2, 3)
+		got := make([]float64, n)
+		soa.DifferentialSeriesInto(got, 2, 3)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("series[%d]: soa %v != complex %v", i, got[i], want[i])
 			}
 		}
 		ref.Release()

@@ -38,11 +38,6 @@ type Config struct {
 	// the IQ lattice machinery separate the contributions) is both
 	// cleaner and faithful to the paper's collision model.
 	CoalesceDist int64
-	// Parallelism bounds the worker pool for the differential sweep and
-	// the peak scan (0 = all cores, 1 = serial). The capture is split
-	// into chunks whose seams read across chunk boundaries, so the
-	// detected edge set is bit-identical at any setting.
-	Parallelism int
 	// DenseSweep has no effect.
 	//
 	// Deprecated: the dense sweep is the only sweep. The field remains

@@ -9,7 +9,6 @@ import (
 	"lf/internal/dsp"
 	"lf/internal/obs"
 	"lf/internal/pool"
-	"lf/internal/work"
 )
 
 // StreamConfig tunes the incremental detector.
@@ -23,14 +22,10 @@ type StreamConfig struct {
 	// necessarily retains the whole magnitude series until Close.
 	CalibSamples int64
 	// Metrics, when populated, receives stage counters (raw peaks,
-	// NMS outcomes, groups, edges, dropped samples). Every counter is
-	// recorded from the detector's serial stages — never from inside
-	// the parallel sweep kernels — so the counts are a pure function
-	// of the sample sequence. The zero value records nothing.
+	// NMS outcomes, groups, edges, dropped samples). The counts are a
+	// pure function of the sample sequence. The zero value records
+	// nothing.
 	Metrics obs.EdgeMetrics
-	// Meter, when non-nil, meters the differential sweep's worker-pool
-	// dispatch (runtime-class; see work.Meter).
-	Meter *work.Meter
 	// Calib, when non-nil, presets noise calibration: the stream starts
 	// calibrated with the given floor and threshold, and no calibration
 	// median is taken. SIC residual decodes use this to carry the first
@@ -103,11 +98,9 @@ var ErrInadmissible = errors.New("edgedetect: masked capture region holds an ina
 // nothing is trimmed and the stream degenerates to the batch
 // detector's footprint.
 type Stream struct {
-	cfg     Config
-	calib   int64
-	workers int
-	em      obs.EdgeMetrics
-	meter   *work.Meter
+	cfg   Config
+	calib int64
+	em    obs.EdgeMetrics
 
 	// From-origin prefix sums of the pushed samples, split into
 	// structure-of-arrays real/imaginary components so the differential
@@ -217,8 +210,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 			return nil, fmt.Errorf("edgedetect: calibration preset (%v, %v) must be finite and positive", f, th)
 		}
 	}
-	s := &Stream{cfg: cfg.Config, calib: cfg.CalibSamples, workers: work.Resolve(cfg.Parallelism),
-		em: cfg.Metrics, meter: cfg.Meter, screenEMax: math.Inf(1)}
+	s := &Stream{cfg: cfg.Config, calib: cfg.CalibSamples, em: cfg.Metrics, screenEMax: math.Inf(1)}
 	s.takeScratch()
 	if m := cfg.Masked; m != nil {
 		n := int64(len(m.Samples))
@@ -762,28 +754,22 @@ func (s *Stream) sweepTo(hi int64) {
 	g, w := s.cfg.Gap, s.cfg.Win
 	margin := SweepMargin(g, w)
 	lo := s.magDone
-	count := int(hi - lo)
-	s.mag = extendFloats(s.mag, count)
+	s.mag = extendFloats(s.mag, int(hi-lo))
 	screen := lo >= s.screenFrom
 	blank := 0.0
 	if screen {
 		blank = screenBlank
 	}
 	intLo, intHi := margin, s.limit()-margin
-	var mu sync.Mutex
-	sweepChunk := func(plo, phi int64) {
+	sweep := func(plo, phi int64) {
 		e := sweepRange(s.mag[plo-s.magBase:phi-s.magBase], s.sumsRe, s.sumsIm, s.sumBase,
 			plo, phi, intLo, intHi, g, w, screen, s.screenEMax)
 		if !s.calibrated {
-			mu.Lock()
 			s.calibE = max(s.calibE, e)
-			mu.Unlock()
 		}
 	}
 	if s.active == nil {
-		s.meter.DoRanges(s.workers, count, func(clo, chi int) {
-			sweepChunk(lo+int64(clo), lo+int64(chi))
-		})
+		sweep(lo, hi)
 	} else {
 		// Masked sweep: the kernel runs only over the active spans (a
 		// masked stream sweeps once, at Close, so this branch runs once
@@ -806,13 +792,9 @@ func (s *Stream) sweepTo(hi int64) {
 			}
 		}
 		for _, r := range s.active {
-			rlo, rhi := max(r.Lo, lo), min(r.Hi, hi)
-			if rlo >= rhi {
-				continue
+			if rlo, rhi := max(r.Lo, lo), min(r.Hi, hi); rlo < rhi {
+				sweep(rlo, rhi)
 			}
-			s.meter.DoRanges(s.workers, int(rhi-rlo), func(clo, chi int) {
-				sweepChunk(rlo+int64(clo), rlo+int64(chi))
-			})
 		}
 	}
 	if len(s.dropSpans) > 0 {

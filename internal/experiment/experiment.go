@@ -8,9 +8,9 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 
 	"lf/internal/stats"
-	"lf/internal/work"
 )
 
 // Config controls experiment scale and reproducibility.
@@ -34,8 +34,14 @@ type Config struct {
 // Default returns the configuration used by cmd/lfbench.
 func Default() Config { return Config{Seed: 1, Epochs: 3} }
 
-// workers resolves the epoch-level worker count.
-func (c Config) workers() int { return work.Resolve(c.Workers) }
+// workers resolves the epoch-level worker count: 0 means
+// runtime.GOMAXPROCS(0), and anything below 1 runs serially.
+func (c Config) workers() int {
+	if c.Workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return max(c.Workers, 1)
+}
 
 // firstErr returns the first error (lowest epoch index) from a
 // fanned-out epoch loop, mirroring the serial loop's error semantics.

@@ -17,9 +17,7 @@ import (
 // with a fresh random offset; tags whose frame decodes with a valid
 // CRC are identified; the reader keeps issuing epochs until all tags
 // are identified (or maxEpochs pass). Returns the total time.
-// decodeParallelism is forwarded to the decoder (1 when the caller is
-// already fanning populations out, so cores aren't oversubscribed).
-func lfIdentify(n int, seed int64, maxEpochs, decodeParallelism int) (seconds float64, epochs int, err error) {
+func lfIdentify(n int, seed int64, maxEpochs int) (seconds float64, epochs int, err error) {
 	src := rng.New(seed)
 	ids := make([]epc.ID, n)
 	idSet := make(map[epc.ID]bool)
@@ -47,9 +45,7 @@ func lfIdentify(n int, seed int64, maxEpochs, decodeParallelism int) (seconds fl
 			return 0, 0, err
 		}
 		seconds += ep.Capture.Duration()
-		dcfg := net.DecoderConfig()
-		dcfg.Parallelism = decodeParallelism
-		dec, err := lf.NewDecoder(dcfg)
+		dec, err := lf.NewDecoder(net.DecoderConfig())
 		if err != nil {
 			return 0, 0, err
 		}
@@ -132,12 +128,7 @@ func Fig12(cfg Config) (*Result, error) {
 		err              error
 	}
 	points := make([]point, len(ns))
-	workers := cfg.workers()
-	decPar := 0
-	if workers > 1 {
-		decPar = 1
-	}
-	work.Do(workers, len(ns), func(i int) {
+	work.Do(cfg.workers(), len(ns), func(i int) {
 		n := ns[i]
 		// TDMA: Q-algorithm slotted ALOHA, averaged.
 		tc := tdma.DefaultConfig()
@@ -152,7 +143,7 @@ func Fig12(cfg Config) (*Result, error) {
 			points[i].err = err
 			return
 		}
-		lSec, epochs, err := lfIdentify(n, cfg.Seed+int64(n)*17, 12, decPar)
+		lSec, epochs, err := lfIdentify(n, cfg.Seed+int64(n)*17, 12)
 		if err != nil {
 			points[i].err = err
 			return

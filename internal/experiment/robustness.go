@@ -98,7 +98,6 @@ func robustnessPoint(cfg Config, kind fault.Kind, sev float64, blocks []int) (ro
 		}
 
 		dcfg := net.DecoderConfig()
-		dcfg.Parallelism = cfg.Workers
 		dcfg.CalibSamples = streamCalibSamples
 		dcfg.CancellationRounds = -1
 		dec, err := lf.NewDecoder(dcfg)

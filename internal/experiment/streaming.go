@@ -46,7 +46,6 @@ func Streaming(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		dcfg := net.DecoderConfig()
-		dcfg.Parallelism = cfg.Workers
 		dcfg.CalibSamples = streamCalibSamples
 		// SIC retains a raw-capture copy by design (it subtracts
 		// reconstructions from the original samples), so the memory

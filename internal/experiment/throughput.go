@@ -25,13 +25,12 @@ func lfThroughput(cfg Config, n int, rate float64, stages lf.Stages, seed int64)
 	if cfg.Quick {
 		payloadSeconds = 1e-3
 	}
-	workers := cfg.workers()
 	type epochOut struct {
 		agg, offered float64
 		err          error
 	}
 	outs := make([]epochOut, cfg.Epochs)
-	work.Do(workers, cfg.Epochs, func(e int) {
+	work.Do(cfg.workers(), cfg.Epochs, func(e int) {
 		net, err := lf.NewNetwork(lf.NetworkConfig{
 			NumTags:        n,
 			BitRates:       []float64{rate},
@@ -49,12 +48,6 @@ func lfThroughput(cfg Config, n int, rate float64, stages lf.Stages, seed int64)
 		}
 		dcfg := net.DecoderConfig()
 		dcfg.Stages = stages
-		if workers > 1 {
-			// Epoch-level fan-out already saturates the cores; nested
-			// decoder parallelism would only oversubscribe. Decode
-			// output is bit-identical either way.
-			dcfg.Parallelism = 1
-		}
 		dec, err := lf.NewDecoder(dcfg)
 		if err != nil {
 			outs[e].err = err
@@ -296,11 +289,10 @@ func AblationSeparation(cfg Config) (*Result, error) {
 		Title:  "Ablation — collision separation strategy (8 nodes @100 kbps)",
 		Header: []string{"mode", "throughput(kbps)"},
 	}
-	workers := cfg.workers()
 	for _, m := range modes {
 		aggs := make([]float64, cfg.Epochs)
 		errs := make([]error, cfg.Epochs)
-		work.Do(workers, cfg.Epochs, func(e int) {
+		work.Do(cfg.workers(), cfg.Epochs, func(e int) {
 			net, err := lf.NewNetwork(lf.NetworkConfig{
 				NumTags:        n,
 				PayloadSeconds: 2e-3,
@@ -317,9 +309,6 @@ func AblationSeparation(cfg Config) (*Result, error) {
 			}
 			dcfg := net.DecoderConfig()
 			dcfg.Separation = m.mode
-			if workers > 1 {
-				dcfg.Parallelism = 1
-			}
 			dec, err := lf.NewDecoder(dcfg)
 			if err != nil {
 				errs[e] = err
@@ -360,7 +349,6 @@ func AblationRegistration(cfg Config) (*Result, error) {
 		Title:  "Ablation — stream registration strategy (12 nodes @100 kbps)",
 		Header: []string{"mode", "registered", "throughput(kbps)"},
 	}
-	workers := cfg.workers()
 	for _, m := range modes {
 		type epochOut struct {
 			agg float64
@@ -368,7 +356,7 @@ func AblationRegistration(cfg Config) (*Result, error) {
 		}
 		outs := make([]epochOut, cfg.Epochs)
 		errs := make([]error, cfg.Epochs)
-		work.Do(workers, cfg.Epochs, func(e int) {
+		work.Do(cfg.workers(), cfg.Epochs, func(e int) {
 			net, err := lf.NewNetwork(lf.NetworkConfig{
 				NumTags:        n,
 				PayloadSeconds: 2e-3,
@@ -385,9 +373,6 @@ func AblationRegistration(cfg Config) (*Result, error) {
 			}
 			dcfg := net.DecoderConfig()
 			dcfg.Registration = m.mode
-			if workers > 1 {
-				dcfg.Parallelism = 1
-			}
 			dec, err := lf.NewDecoder(dcfg)
 			if err != nil {
 				errs[e] = err

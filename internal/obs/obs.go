@@ -38,11 +38,11 @@ type Class int
 
 const (
 	// ClassDecode: a pure function of the decoded sample sequence,
-	// identical at any worker count and streaming block size. Included
-	// in Snapshot.Identity.
+	// identical at any streaming block size. Included in
+	// Snapshot.Identity.
 	ClassDecode Class = iota
-	// ClassRuntime: scheduling- or clock-dependent (wall time, pool
-	// occupancy). Reported in snapshots and text dumps but excluded
+	// ClassRuntime: scheduling- or clock-dependent (wall time, gateway
+	// session bookkeeping). Reported in snapshots and text dumps but excluded
 	// from Snapshot.Identity.
 	ClassRuntime
 )
@@ -384,8 +384,8 @@ func (s *Snapshot) Add(other *Snapshot) {
 // Identity renders the decode-class metrics in a canonical text form:
 // sorted by name, fixed integer formatting, timing and runtime-class
 // entries stripped. Two decodes of the same sample sequence must
-// produce byte-identical Identity output at any worker count or block
-// size — this is the string the determinism and golden-trace tests pin.
+// produce byte-identical Identity output at any block size, and
+// however many other decodes run beside them — this is the string the determinism and golden-trace tests pin.
 func (s *Snapshot) Identity() string {
 	var b strings.Builder
 	s.write(&b, false)
@@ -465,7 +465,7 @@ func (s *Snapshot) write(b *strings.Builder, includeRuntime bool) {
 // anchored at an absolute sample position. Events are emitted on the
 // goroutine calling Push/Flush/Decode (mirroring the OnFrame hook) at
 // deterministic points, so the event sequence — stages, positions,
-// payload counts — is identical at any worker count and block size.
+// payload counts — is identical at any block size.
 type SpanEvent struct {
 	// Stage names the milestone: "calibrate", "register", "commit",
 	// "frame", "sic", "flush".

@@ -10,13 +10,9 @@ package obs
 // identity:
 //
 //   - Edge, Walk, Collide, Viterbi, SIC, Frames, Drops: ClassDecode.
-//     Incremented either from serial stages (edge scan/NMS/coalesce,
-//     collision-group loop, flush accounting) or through commutative
-//     atomic adds from index-confined parallel stages (per-stream
-//     Viterbi commits), so totals are bit-identical at any Parallelism
-//     and block size.
-//   - Work: ClassRuntime. Chunk counts and pool occupancy depend on
-//     the worker count by definition.
+//     Incremented from the decode's own stages, which all run on its
+//     calling goroutine, so totals are bit-identical at any block
+//     size.
 //   - Stage timings: ClassRuntime. Wall time never feeds a decode
 //     decision (DESIGN.md §13).
 type Pipeline struct {
@@ -30,7 +26,6 @@ type Pipeline struct {
 	SIC     SICMetrics
 	Frames  FrameMetrics
 	Drops   DropMetrics
-	Work    WorkMetrics
 	Stage   StageTimings
 }
 
@@ -85,9 +80,8 @@ type CollideMetrics struct {
 	CancelledSlots *Counter
 }
 
-// ViterbiMetrics instruments the windowed sequence decoder. Commit
-// counters are recorded from per-stream decoders running in parallel;
-// atomic addition commutes, so the totals stay deterministic.
+// ViterbiMetrics instruments the windowed sequence decoder, one
+// per-stream decoder after another.
 type ViterbiMetrics struct {
 	// Slots counts trellis steps pushed (first-pass streams only; SIC
 	// residual decodes run unmetered).
@@ -145,16 +139,6 @@ type DropMetrics struct {
 	NonFinite, Panics, Truncated *Counter
 	// SpanSamples totals the sample lengths of dropped spans.
 	SpanSamples *Counter
-}
-
-// WorkMetrics instruments the worker pools (ClassRuntime: chunking and
-// occupancy vary with Parallelism by definition).
-type WorkMetrics struct {
-	// Batches counts pool invocations; Tasks counts work items
-	// dispatched across them.
-	Batches, Tasks *Counter
-	// Occupancy is the high-water effective worker count.
-	Occupancy *Gauge
 }
 
 // StageTimings holds per-stage wall-time accumulators. Timing is
@@ -243,11 +227,6 @@ func NewPipeline() *Pipeline {
 			Panics:      r.Counter("drop.panic", ClassDecode),
 			Truncated:   r.Counter("drop.truncated", ClassDecode),
 			SpanSamples: r.Counter("drop.span_samples", ClassDecode),
-		},
-		Work: WorkMetrics{
-			Batches:   r.Counter("work.batches", ClassRuntime),
-			Tasks:     r.Counter("work.tasks", ClassRuntime),
-			Occupancy: r.Gauge("work.occupancy", ClassRuntime),
 		},
 		Stage: StageTimings{
 			Push:   r.Timing("stage.push_ns"),

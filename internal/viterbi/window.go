@@ -4,9 +4,8 @@ import "lf/internal/obs"
 
 // Metrics instruments the windowed recursion. Commit counters are
 // recorded once per window commit — a function of the emission
-// sequence alone — so totals stay deterministic even when per-stream
-// decoders run on a worker pool (atomic addition commutes). The zero
-// value records nothing.
+// sequence alone — so totals are deterministic. The zero value records
+// nothing.
 type Metrics struct {
 	// Slots counts trellis steps pushed.
 	Slots *obs.Counter

@@ -1,7 +1,6 @@
 package work
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -41,63 +40,4 @@ func TestDoPanicPropagates(t *testing.T) {
 			panic("boom")
 		}
 	})
-}
-
-func TestResolve(t *testing.T) {
-	if got := Resolve(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Resolve(0) = %d", got)
-	}
-	if got := Resolve(1); got != 1 {
-		t.Fatalf("Resolve(1) = %d", got)
-	}
-	if got := Resolve(6); got != 6 {
-		t.Fatalf("Resolve(6) = %d", got)
-	}
-	if got := Resolve(-3); got != 1 {
-		t.Fatalf("Resolve(-3) = %d", got)
-	}
-}
-
-func TestBoundsPartition(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 16} {
-		for _, n := range []int{0, 1, MinChunk - 1, MinChunk, 4*MinChunk + 17, 100000} {
-			b := Bounds(workers, n)
-			if n == 0 {
-				if b != nil {
-					t.Fatalf("Bounds(%d, 0) = %v", workers, b)
-				}
-				continue
-			}
-			if b[0] != 0 || b[len(b)-1] != n {
-				t.Fatalf("Bounds(%d, %d) = %v: does not span [0,n)", workers, n, b)
-			}
-			for i := 1; i < len(b); i++ {
-				if b[i] <= b[i-1] {
-					t.Fatalf("Bounds(%d, %d) = %v: not strictly increasing", workers, n, b)
-				}
-			}
-			// Every chunk but the last must be at least MinChunk when the
-			// series is splittable at all.
-			for i := 0; i+2 < len(b); i++ {
-				if b[i+1]-b[i] < MinChunk {
-					t.Fatalf("Bounds(%d, %d) = %v: chunk %d under MinChunk", workers, n, b, i)
-				}
-			}
-		}
-	}
-}
-
-func TestDoRangesCoversSeries(t *testing.T) {
-	n := 3*MinChunk + 123
-	hits := make([]int32, n)
-	DoRanges(4, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hits[i], 1)
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d covered %d times", i, h)
-		}
-	}
 }

@@ -323,9 +323,11 @@ type DecoderConfig struct {
 	Registration RegistrationMode
 	// Seed drives decoder-internal randomness (k-means restarts).
 	Seed int64
-	// Parallelism bounds the decoder's worker pool (0 = all cores,
-	// 1 = serial). Decodes are bit-identical at any setting; the knob
-	// only trades wall-clock for cores.
+	// Parallelism has no effect: a decode runs on its calling
+	// goroutine. Run decodes side by side for more cores.
+	//
+	// Deprecated: the field remains only while the benchmark's
+	// work.serial_rt row sets it, and goes together with that row.
 	Parallelism int
 	// PipelineParallelism has no effect.
 	//
@@ -335,8 +337,8 @@ type DecoderConfig struct {
 	PipelineParallelism int
 	// ShardParallelism has no effect.
 	//
-	// Deprecated: the inline decoder, with its Parallelism fan-out, is
-	// the only way to run one decode. The field remains only while the
+	// Deprecated: the inline decoder is the only way to run one
+	// decode. The field remains only while the
 	// benchmark's shard.sharded_rt row sets it, and goes together with
 	// that row.
 	ShardParallelism int
@@ -397,14 +399,14 @@ type DecoderConfig struct {
 	// Tracer, when non-nil, receives per-stage span events (calibrate,
 	// register, commit, frame, sic, flush) on the goroutine calling
 	// Push/Flush/Decode, mirroring OnFrame. The event sequence is
-	// identical at any Parallelism and push block size.
+	// identical at any push block size.
 	Tracer Tracer
 }
 
 // Stats is a frozen snapshot of the decode pipeline's metrics. The
 // decode-class counters and histograms in it are bit-identical at any
-// Parallelism and push blocking (see Identity); timings and
-// runtime-class entries are measurement only.
+// push blocking (see Identity); timings and runtime-class entries are
+// measurement only.
 type Stats = obs.Snapshot
 
 // Tracer receives per-stage span events from a decode.
@@ -510,7 +512,6 @@ func NewDecoder(cfg DecoderConfig) (*Decoder, error) {
 	if cfg.StartWindowSeconds > 0 {
 		dc.Streams.MaxStart = int64(cfg.StartWindowSeconds * cfg.SampleRate)
 	}
-	dc.Parallelism = cfg.Parallelism
 	dc.CalibSamples = cfg.CalibSamples
 	dc.ViterbiWindow = cfg.ViterbiWindow
 	dc.OnFrame = cfg.OnFrame
@@ -558,8 +559,8 @@ func (d *Decoder) accumulate(p *obs.Pipeline) {
 // Decoder has completed: counters and histogram buckets sum across
 // decodes, gauges keep their high-water values. Empty when
 // DecoderConfig.NoStats is set or nothing has completed yet. The
-// decode-class portion (Stats.Identity) is bit-identical at any
-// Parallelism and push blocking.
+// decode-class portion (Stats.Identity) is bit-identical at any push
+// blocking.
 func (d *Decoder) Stats() *Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -53,8 +53,8 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 
 	epA := &lf.Epoch{Capture: capA, Emissions: ep.Emissions, Config: ep.Config}
 	epB := &lf.Epoch{Capture: capB, Emissions: ep.Emissions, Config: ep.Config}
-	resA := decodeWith(t, epA, cfg, 0)
-	resB := decodeWith(t, epB, cfg, 0)
+	resA := decodeWith(t, epA, cfg)
+	resB := decodeWith(t, epB, cfg)
 	if !reflect.DeepEqual(resA, resB) {
 		t.Fatal("identical impaired captures decoded to different Results")
 	}
@@ -91,7 +91,7 @@ func TestBatchStreamingNonFiniteParity(t *testing.T) {
 	cap2.Samples = poisoned
 	ep2 := &lf.Epoch{Capture: &cap2, Emissions: ep.Emissions, Config: ep.Config}
 
-	batch := decodeWith(t, ep2, cfg, 0)
+	batch := decodeWith(t, ep2, cfg)
 	if len(batch.Dropped) == 0 {
 		t.Fatal("poisoned capture decoded with no Dropped entries")
 	}
@@ -120,7 +120,7 @@ func TestBatchStreamingNonFiniteParity(t *testing.T) {
 	// Degradation must be graceful in the literal sense: the poisoned
 	// decode still recovers the same number of streams as the clean
 	// one (five isolated bad samples cannot take down whole frames).
-	clean := decodeWith(t, ep, cfg, 0)
+	clean := decodeWith(t, ep, cfg)
 	if len(batch.Streams) != len(clean.Streams) {
 		t.Fatalf("poisoning 5 samples lost streams: %d clean, %d poisoned",
 			len(clean.Streams), len(batch.Streams))

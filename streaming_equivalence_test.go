@@ -51,7 +51,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 			t.Run(fmt.Sprintf("tags=%d/seed=%d", tags, seed), func(t *testing.T) {
 				ep, cfg := buildEpoch(t, tags, seed)
 				cfg.CalibSamples = 32768
-				batch := decodeWith(t, ep, cfg, 0)
+				batch := decodeWith(t, ep, cfg)
 				blocks := []int{1, 4096, 65536, len(ep.Capture.Samples) + 999}
 				for _, block := range blocks {
 					streamed := streamDecode(t, ep, cfg, block)
@@ -70,7 +70,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 // still reproduce the batch result exactly.
 func TestStreamingMatchesBatchDeferredCalibration(t *testing.T) {
 	ep, cfg := buildEpoch(t, 4, 42)
-	batch := decodeWith(t, ep, cfg, 0)
+	batch := decodeWith(t, ep, cfg)
 	streamed := streamDecode(t, ep, cfg, 8192)
 	if !reflect.DeepEqual(batch, streamed) {
 		t.Fatal("deferred-calibration streaming decode diverged from batch")
@@ -146,17 +146,14 @@ func testStreamingMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestStreamShutdown pins the streaming decoder's lifecycle, serial and
-// with the worker fan-out: a second Flush returns the same Result, Push
-// after Flush fails cleanly, and no goroutine outlives the decodes, so
-// repeated decodes do not accumulate goroutines.
+// TestStreamShutdown pins the streaming decoder's lifecycle: a second
+// Flush returns the same Result, Push after Flush fails cleanly, and no
+// goroutine outlives the decodes, so repeated decodes do not accumulate
+// goroutines.
 func TestStreamShutdown(t *testing.T) {
 	ep, cfg := buildEpoch(t, 2, 3)
 	cfg.CalibSamples = 32768
-	for _, workers := range []int{1, 4} {
-		cfg.Parallelism = workers
-		checkLifecycle(t, ep.Capture.Samples, cfg, fmt.Sprintf("parallelism=%d", workers))
-	}
+	checkLifecycle(t, ep.Capture.Samples, cfg, "stream")
 }
 
 // checkLifecycle runs four streaming decodes under cfg and fails t if a

@@ -48,8 +48,8 @@ func TestSparseSweepMatchesDense(t *testing.T) {
 					t.Error("the deprecated StripeRunner was called")
 					return nil
 				}
-				deprecated := decodeWith(t, ep2, dcfg, 0)
-				batch := decodeWith(t, ep2, cfg, 0)
+				deprecated := decodeWith(t, ep2, dcfg)
+				batch := decodeWith(t, ep2, cfg)
 				if !reflect.DeepEqual(deprecated, batch) {
 					t.Fatal("batch decode diverged with the deprecated fields set")
 				}
