@@ -27,6 +27,7 @@ race:
 # Focused race pass over the streaming-vs-batch equivalence suite: the
 # streaming decoder shares pooled scratch with the batch path, so the
 # bit-identity tests double as a race probe of every incremental stage.
+# A local target: race runs these tests in ci.
 race-stream:
 	$(GO) test -race -run 'TestStreaming' .
 
@@ -77,14 +78,16 @@ kernel-smoke:
 # Observability smoke: the golden-trace corpus (batch + streaming,
 # byte-for-byte against testdata/golden/) and the metrics conservation
 # sweep (accounting identities across every fault kind), both under the
-# race detector.
+# race detector. A local target: race runs these tests in ci.
 obs-smoke:
 	$(GO) test -race -run 'TestGolden|TestMetricsConservation|TestStatsDeterminism' .
 
 # Incremental-SIC smoke: the batch vs streaming byte-identity matrix
 # (fault kinds x rounds, block-size composition, vacuity guard)
 # and the decoder's residual-fill and SIC unit tests under the race
-# detector, and the edge detector's masked residual fold suite.
+# detector, and the edge detector's masked residual fold suite. A local
+# target: in ci, race runs the TestSIC tests and test the TestMasked
+# ones.
 sic-smoke:
 	$(GO) test -race -run 'TestSIC' .
 	$(GO) test -race -run 'TestSIC' ./internal/decoder
@@ -92,7 +95,8 @@ sic-smoke:
 
 # Reader-gateway smoke: the gateway lifecycle suite (resume, kill
 # mid-stream flush, double-Close, connect/disconnect storm, slow-sink
-# backpressure, goroutine-leak check) at -count=3, the root acceptance
+# ordering, chunk after flush, goroutine-leak check) at -count=3, the
+# root acceptance
 # matrix (reader push blocks {1,4096,whole} x capture faults x
 # transport fault kinds at severity 0.5 — every cell asserting
 # byte-identity against independent local streaming decodes), and a
@@ -138,10 +142,13 @@ profile:
 	$(GO) test -run '^$$' -bench 'EndToEndDecode|StreamingDecode' \
 		-cpuprofile lf.cpu.prof -memprofile lf.mem.prof .
 
-# The ci gate: vet, the test and race suites, the smokes, and
-# lfperf-smoke's decode-quality check. Timing is not gated here (see
-# perf-compare).
-ci: vet build test race race-stream fuzz-smoke kernel-smoke obs-smoke sic-smoke gate-smoke robustness-smoke lfperf-smoke
+# The ci gate: vet, the test and race suites, the smokes that run
+# something race does not (fuzzing, the -count=3 gateway suite and
+# lfgate demo, the robustness sweep), and lfperf-smoke's decode-quality
+# check. race-stream, obs-smoke and sic-smoke select tests that race
+# and test already run, so they stay local targets. Timing is not gated
+# here (see perf-compare).
+ci: vet build test race fuzz-smoke kernel-smoke gate-smoke robustness-smoke lfperf-smoke
 
 clean:
 	$(GO) clean ./...

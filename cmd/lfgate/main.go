@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	lfgate -serve [-addr host:port] [-workers N] [-max-retained BYTES]
-//	       [-flush-after-ms ms] [-out FILE] [-quiet]
+//	lfgate -serve [-addr host:port] [-workers N] [-flush-after-ms ms]
+//	       [-out FILE] [-quiet]
 //	       [-tags N] [-payload-ms ms] [-calib N]
 //	       [-fault SPEC] [-fault-seed N] [-stats] [-v]
 //	lfgate -reader -addr host:port [-name NAME] [-replay FILE]
@@ -18,9 +18,10 @@
 // at once, runs each reader's capture through its own streaming
 // decoder on a shared bounded worker fleet, and publishes every
 // decoded frame to its sinks (JSONL on stdout by default, a file with
-// -out). Backpressure is per reader: a session whose decoder retains
-// more than -max-retained bytes has its acks withheld, so the slow
-// reader is flow-controlled — never dropped. A reader that vanishes
+// -out). Each reader is paced by the gateway's acks: a chunk is acked
+// only once it has been decoded, and at most -workers sessions decode
+// at once, so a slow gateway slows its readers and drops nothing. A
+// reader that vanishes
 // mid-capture is flushed after -flush-after-ms, publishing every frame
 // already committed; a reader that reconnects (same name and capture
 // nonce) resumes exactly where the gateway's acks left off, so
@@ -70,7 +71,6 @@ func main() {
 	block := flag.Int("block", 8192, "reader push block size in samples")
 	calib := flag.Int64("calib", 32768, "per-session noise-calibration sample budget")
 	workers := flag.Int("workers", 0, "decode fleet size (0 = GOMAXPROCS)")
-	maxRetained := flag.Int64("max-retained", 0, "per-reader backpressure bound in bytes (0 = 1 GiB)")
 	flushAfterMS := flag.Int("flush-after-ms", 0, "disconnect grace before best-effort flush (0 = 3000)")
 	out := flag.String("out", "", "also write frames to this file (JSONL)")
 	quiet := flag.Bool("quiet", false, "suppress the stdout JSONL sink")
@@ -113,9 +113,9 @@ func main() {
 	case *reader:
 		runReader(*addr, *name, *replay, *tags, *payloadMS, *seed, *block, transport, logf)
 	case *serve:
-		runServe(*addr, *tags, *payloadMS, *calib, *workers, *maxRetained, *flushAfterMS, *out, *quiet, *stats, transport, logf)
+		runServe(*addr, *tags, *payloadMS, *calib, *workers, *flushAfterMS, *out, *quiet, *stats, transport, logf)
 	case *demo:
-		runDemo(*nReaders, *check, *tags, *payloadMS, *seed, *block, *calib, *workers, *maxRetained, *stats, transport, logf)
+		runDemo(*nReaders, *check, *tags, *payloadMS, *seed, *block, *calib, *workers, *stats, transport, logf)
 	}
 }
 
@@ -138,7 +138,7 @@ func baseDecoderConfig(tags int, payloadMS float64, calib int64) (lf.DecoderConf
 	return dcfg, nil
 }
 
-func runServe(addr string, tags int, payloadMS float64, calib int64, workers int, maxRetained int64, flushAfterMS int, out string, quiet, stats bool, transport fault.TransportConfig, logf func(string, ...any)) {
+func runServe(addr string, tags int, payloadMS float64, calib int64, workers int, flushAfterMS int, out string, quiet, stats bool, transport fault.TransportConfig, logf func(string, ...any)) {
 	dcfg, err := baseDecoderConfig(tags, payloadMS, calib)
 	if err != nil {
 		fatal(err)
@@ -155,14 +155,13 @@ func runServe(addr string, tags int, payloadMS float64, calib int64, workers int
 		sinks = append(sinks, fs)
 	}
 	g, err := gate.NewGateway(gate.Config{
-		Addr:        addr,
-		Decoder:     dcfg,
-		Workers:     workers,
-		MaxRetained: maxRetained,
-		FlushAfter:  time.Duration(flushAfterMS) * time.Millisecond,
-		Sinks:       sinks,
-		Transport:   transport,
-		Logf:        logf,
+		Addr:       addr,
+		Decoder:    dcfg,
+		Workers:    workers,
+		FlushAfter: time.Duration(flushAfterMS) * time.Millisecond,
+		Sinks:      sinks,
+		Transport:  transport,
+		Logf:       logf,
 	})
 	if err != nil {
 		fatal(err)
@@ -175,10 +174,9 @@ func runServe(addr string, tags int, payloadMS float64, calib int64, workers int
 		fatal(err)
 	}
 	snap := g.Stats()
-	fmt.Fprintf(os.Stderr, "lfgate: %d readers, %d frames, %d KiB on the wire, %.1f ms throttled\n",
+	fmt.Fprintf(os.Stderr, "lfgate: %d readers, %d frames, %d KiB on the wire\n",
 		snap.Counter("gate.readers"), snap.Counter("gate.frames"),
-		snap.Counter("gate.bytes")/1024,
-		float64(snap.Counter("gate.backpressure_ns"))/1e6)
+		snap.Counter("gate.bytes")/1024)
 	if stats {
 		if err := snap.WriteText(os.Stderr); err != nil {
 			fatal(err)
@@ -268,7 +266,7 @@ func readerSamples(replay string, tags int, payloadMS float64, seed int64) ([]co
 	return ep.Capture.Samples, ep.Config.SampleRate, nil
 }
 
-func runDemo(nReaders int, check bool, tags int, payloadMS float64, seed int64, block int, calib int64, workers int, maxRetained int64, stats bool, transport fault.TransportConfig, logf func(string, ...any)) {
+func runDemo(nReaders int, check bool, tags int, payloadMS float64, seed int64, block int, calib int64, workers int, stats bool, transport fault.TransportConfig, logf func(string, ...any)) {
 	dcfg, err := baseDecoderConfig(tags, payloadMS, calib)
 	if err != nil {
 		fatal(err)
@@ -294,10 +292,9 @@ func runDemo(nReaders int, check bool, tags int, payloadMS float64, seed int64, 
 		}
 	}
 	res, err := gate.Loopback(context.Background(), gate.Config{
-		Decoder:     dcfg,
-		Workers:     workers,
-		MaxRetained: maxRetained,
-		Logf:        logf,
+		Decoder: dcfg,
+		Workers: workers,
+		Logf:    logf,
 	}, readers)
 	if err != nil {
 		fatal(err)
@@ -315,10 +312,9 @@ func runDemo(nReaders int, check bool, tags int, payloadMS float64, seed int64, 
 		fmt.Printf("  %s: %d frames, %d crc-ok\n", rname, len(frames), crc)
 	}
 	snap := res.Gateway
-	fmt.Printf("gate: %d readers, %d frames, %d KiB on the wire, %.1f ms throttled\n",
+	fmt.Printf("gate: %d readers, %d frames, %d KiB on the wire\n",
 		snap.Counter("gate.readers"), snap.Counter("gate.frames"),
-		snap.Counter("gate.bytes")/1024,
-		float64(snap.Counter("gate.backpressure_ns"))/1e6)
+		snap.Counter("gate.bytes")/1024)
 	if stats {
 		if err := snap.WriteText(os.Stdout); err != nil {
 			fatal(err)

@@ -16,13 +16,8 @@ import (
 
 // CoordinatorConfig tunes the shard coordinator.
 type CoordinatorConfig struct {
-	// Addr is the TCP listen address ("127.0.0.1:0" for tests). Ignored
-	// when Listener is set.
+	// Addr is the TCP listen address ("127.0.0.1:0" for tests).
 	Addr string
-	// Listener, when non-nil, is used instead of listening on Addr (the
-	// caller keeps ownership of the choice, the coordinator of the
-	// lifecycle: Close closes it).
-	Listener net.Listener
 
 	// LeaseTimeout bounds how long a worker may hold a shard before the
 	// lease expires: once a job is sent, the serving connection must
@@ -49,12 +44,6 @@ type CoordinatorConfig struct {
 	// the seeded wire injectors (fault.TransportKinds) — the test and
 	// bench harness for the failure matrix.
 	Transport fault.TransportConfig
-
-	// Registry receives the dist.* runtime-class metrics. nil creates a
-	// private registry (read it back via Stats). Dist metrics are kept
-	// out of the decode Pipeline on purpose: distribution is invisible
-	// to decode-class stats.
-	Registry *obs.Registry
 
 	// Logf, when non-nil, receives coordinator lifecycle events.
 	Logf func(format string, args ...any)
@@ -126,22 +115,18 @@ type Coordinator struct {
 // NewCoordinator starts listening and serving immediately.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	ln := cfg.Listener
-	if ln == nil {
-		addr := cfg.Addr
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		var err error
-		ln, err = net.Listen("tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("dist: listen: %w", err)
-		}
+	addr := cfg.Addr
+	if addr == "" {
+		addr = "127.0.0.1:0"
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("dist: listen: %w", err)
 	}
+	// Dist metrics live in the coordinator's own registry (read back
+	// via Stats), out of the decode Pipeline: distribution is invisible
+	// to decode-class stats.
+	reg := obs.NewRegistry()
 	c := &Coordinator{
 		cfg: cfg, ln: ln,
 		jobs:     map[uint64]*pending{},

@@ -45,8 +45,8 @@ type ClientConfig struct {
 	ChunkSamples int
 	// AckTimeout bounds the wait for each ack/welcome/done frame; a
 	// gateway silent that long is presumed unreachable and the client
-	// reconnects. It must exceed the gateway's MaxThrottle or
-	// backpressure throttling is misread as death. Default 30s.
+	// reconnects. It must exceed the gateway's longest decode of one
+	// chunk, including the wait for a fleet slot. Default 30s.
 	AckTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential reconnect backoff
 	// (full jitter, as in internal/dist). Defaults 10ms / 1s.
@@ -291,8 +291,8 @@ func (c *Client) handshake() error {
 
 // Push feeds one block of IQ samples, re-chunking to ChunkSamples and
 // flow-controlled by the gateway's acks (stop-and-wait: the ack for a
-// chunk arrives only after the gateway has pushed it into the decoder
-// and cleared the admission gate, so gateway backpressure blocks right
+// chunk arrives only after the gateway has taken a fleet slot and
+// pushed the chunk into the decoder, so a busy gateway blocks right
 // here).
 //
 // Push borrows block for the length of the call and keeps no reference

@@ -16,42 +16,22 @@ import (
 
 // Config tunes the gateway.
 type Config struct {
-	// Addr is the TCP listen address ("127.0.0.1:0" for tests). Ignored
-	// when Listener is set.
+	// Addr is the TCP listen address ("127.0.0.1:0" for tests).
 	Addr string
-	// Listener, when non-nil, is used instead of listening on Addr (the
-	// caller keeps ownership of the choice, the gateway of the
-	// lifecycle: Close closes it).
-	Listener net.Listener
 
 	// Decoder is the per-session decoder template: every reader session
 	// gets its own lf.Decoder built from a copy of it (OnFrame is
 	// overwritten with the gateway's publisher; SampleRate is taken
 	// from the session hello when the hello carries one). Set
 	// CalibSamples for bounded-memory streaming and note that enabled
-	// SIC (CancellationRounds ≥ 0) retains O(capture) memory, which the
-	// MaxRetained admission bound must accommodate.
+	// SIC (CancellationRounds ≥ 0) retains O(capture) memory per
+	// session (gate.retained_peak shows the high-water mark).
 	Decoder lf.DecoderConfig
 
 	// Workers bounds the shared decode fleet: at most this many
 	// sessions advance a Push or Flush at once, however many readers
 	// are connected. 0 selects GOMAXPROCS.
 	Workers int
-
-	// MaxRetained is the per-reader backpressure bound, in bytes:
-	// a chunk is admitted into the session's decoder only once the
-	// session's RetainedBytes sits below it. While over the bound the
-	// gateway simply withholds the ack — the reader's send window
-	// fills and the reader blocks, flow-controlled, never dropped.
-	// 0 selects 1 GiB. It must exceed the decoder's resident window
-	// (calibration + Viterbi horizon + stage queues) or throttling
-	// degrades to MaxThrottle pacing.
-	MaxRetained int64
-	// MaxThrottle caps how long one chunk may wait in the admission
-	// gate before being admitted anyway — the escape hatch that keeps a
-	// bound set below the decoder's resident window from wedging a
-	// session forever. 0 selects 2s.
-	MaxThrottle time.Duration
 
 	// FlushAfter is the disconnect grace period: a session whose reader
 	// has been gone this long is flushed best-effort, publishing every
@@ -77,10 +57,6 @@ type Config struct {
 	// Transport, when active, impairs every accepted connection with
 	// the seeded wire injectors (tests).
 	Transport fault.TransportConfig
-	// Registry receives the gate.* runtime metrics; the gateway owns
-	// its own registry by default, keeping gateway counters out of the
-	// per-session decode stats.
-	Registry *obs.Registry
 	// Logf, when non-nil, receives gateway lifecycle logs.
 	Logf func(string, ...any)
 }
@@ -88,12 +64,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxRetained <= 0 {
-		cfg.MaxRetained = 1 << 30
-	}
-	if cfg.MaxThrottle <= 0 {
-		cfg.MaxThrottle = 2 * time.Second
 	}
 	if cfg.FlushAfter <= 0 {
 		cfg.FlushAfter = 3 * time.Second
@@ -104,17 +74,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 30 * time.Second
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	return cfg
 }
-
-// throttlePoll is the admission gate's RetainedBytes re-check cadence.
-const throttlePoll = 200 * time.Microsecond
 
 // errStolen aborts a connection's work when a reconnecting reader has
 // taken its session over; the stale connection just dies quietly.
@@ -159,6 +123,7 @@ func (s *session) state() (byte, string) {
 type Gateway struct {
 	cfg   Config
 	ln    net.Listener
+	reg   *obs.Registry // gate.* runtime metrics, apart from decode stats
 	m     obs.GateMetrics
 	slots chan struct{} // shared decode fleet: one token per worker
 
@@ -181,18 +146,16 @@ type Gateway struct {
 // NewGateway starts a gateway listening for reader connections.
 func NewGateway(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", cfg.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("gate: listen: %w", err)
-		}
+	ln, err := net.Listen("tcp", cfg.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("gate: listen: %w", err)
 	}
+	reg := obs.NewRegistry()
 	g := &Gateway{
 		cfg:       cfg,
 		ln:        ln,
-		m:         obs.NewGateMetrics(cfg.Registry),
+		reg:       reg,
+		m:         obs.NewGateMetrics(reg),
 		slots:     make(chan struct{}, cfg.Workers),
 		sessions:  make(map[string]*session),
 		conns:     make(map[net.Conn]struct{}),
@@ -212,7 +175,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 func (g *Gateway) Addr() string { return g.ln.Addr().String() }
 
 // Stats snapshots the gateway-level gate.* metrics.
-func (g *Gateway) Stats() *obs.Snapshot { return g.cfg.Registry.Snapshot() }
+func (g *Gateway) Stats() *obs.Snapshot { return g.reg.Snapshot() }
 
 // ReaderStats returns the accumulated decode-class stats per reader
 // name, folded from every session flushed so far. The decode-class
@@ -438,53 +401,11 @@ func (g *Gateway) detach(s *session, conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// pushChunk runs the admission gate, then feeds the chunk into the
-// session's decoder. The admission gate is the backpressure mechanism:
-// while the session's RetainedBytes sits at or above MaxRetained the
-// chunk waits (and with it the ack, and with that the reader), up to
-// MaxThrottle. Returns the new cumulative high-water mark.
+// pushChunk feeds the chunk into the session's decoder under a fleet
+// slot and returns the new cumulative high-water mark. The reader is
+// paced by the ack, which serve sends only after this returns, and by
+// the slots, which bound how many sessions decode at once.
 func (g *Gateway) pushChunk(s *session, conn net.Conn, c wireChunk) (int64, error) {
-	// Admission: poll the retained-bytes signal without holding the
-	// session lock for longer than a read, so a reconnect can still
-	// steal the session away from a throttled connection.
-	start := time.Now()
-	throttled := time.Duration(0)
-	var retained int64
-	for {
-		s.mu.Lock()
-		if s.conn != conn {
-			s.mu.Unlock()
-			return 0, errStolen
-		}
-		if s.done {
-			st := s.failed
-			s.mu.Unlock()
-			if st != nil {
-				return 0, st
-			}
-			return 0, fmt.Errorf("gate: reader %q capture %x: already flushed", s.name, s.nonce)
-		}
-		retained = s.sd.RetainedBytes()
-		s.mu.Unlock()
-		if retained < g.cfg.MaxRetained {
-			break
-		}
-		if time.Since(start) >= g.cfg.MaxThrottle {
-			g.cfg.Logf("gate: reader %q: admission capped at %v (retained %d ≥ bound %d)", s.name, g.cfg.MaxThrottle, retained, g.cfg.MaxRetained)
-			break
-		}
-		select {
-		case <-g.closedCh:
-			return 0, errors.New("gate: gateway closed")
-		case <-time.After(throttlePoll):
-		}
-		throttled = time.Since(start)
-	}
-	if throttled > 0 {
-		g.m.BackpressureNs.Add(int64(throttled))
-	}
-	g.m.RetainedPeak.Max(retained)
-
 	// Fleet slot, then the session lock (global lock order).
 	select {
 	case <-g.slots:
@@ -498,9 +419,13 @@ func (g *Gateway) pushChunk(s *session, conn net.Conn, c wireChunk) (int64, erro
 	if s.conn != conn {
 		return 0, errStolen
 	}
-	if s.failed != nil {
-		return 0, s.failed
+	if s.done {
+		if s.failed != nil {
+			return 0, s.failed
+		}
+		return 0, fmt.Errorf("gate: reader %q capture %x: already flushed", s.name, s.nonce)
 	}
+	g.m.RetainedPeak.Max(s.sd.RetainedBytes())
 	samples := c.Samples
 	switch {
 	case c.Base == s.have:
@@ -516,10 +441,7 @@ func (g *Gateway) pushChunk(s *session, conn net.Conn, c wireChunk) (int64, erro
 	}
 	if len(samples) > 0 {
 		if err := s.sd.Push(samples); err != nil {
-			s.failed = err
-			s.done = true
-			s.doneAt = time.Now()
-			g.foldStatsLocked(s)
+			g.finishLocked(s, err)
 			return 0, err
 		}
 		s.have += int64(len(samples))
@@ -546,7 +468,9 @@ func (g *Gateway) endSession(s *session, conn net.Conn, total int64) (uint32, er
 // flushSession drains the session's decoder, publishing every frame
 // still in flight, and finalizes the session. conn non-nil demands
 // ownership (reader-requested flush); conn nil demands detachment
-// (reaper/Close best-effort flush). Idempotent.
+// (reaper/Close best-effort flush). Idempotent. During Close every
+// serve loop has exited, so every session is detached and closedCh
+// stands in for the slot.
 func (g *Gateway) flushSession(s *session, conn net.Conn) (uint32, error) {
 	took := false
 	select {
@@ -575,19 +499,19 @@ func (g *Gateway) flushSession(s *session, conn net.Conn) (uint32, error) {
 	if s.done {
 		return s.frames, s.failed
 	}
-	if _, err := s.sd.Flush(); err != nil {
-		s.failed = err
-	}
-	s.done = true
-	s.doneAt = time.Now()
-	g.foldStatsLocked(s)
+	_, err := s.sd.Flush()
+	g.finishLocked(s, err)
 	g.cfg.Logf("gate: reader %q capture %x flushed: %d samples, %d frames", s.name, s.nonce, s.have, s.frames)
 	return s.frames, s.failed
 }
 
-// foldStatsLocked folds the finished session's decode stats into the
-// per-reader aggregate. Caller holds s.mu.
-func (g *Gateway) foldStatsLocked(s *session) {
+// finishLocked marks the session done, latching err (nil on a clean
+// flush), and folds its decode stats into the per-reader aggregate.
+// Caller holds s.mu.
+func (g *Gateway) finishLocked(s *session, err error) {
+	s.failed = err
+	s.done = true
+	s.doneAt = time.Now()
 	st := s.dec.Stats()
 	g.mu.Lock()
 	agg, ok := g.readerAgg[s.name]
@@ -675,7 +599,7 @@ func (g *Gateway) Close() error {
 		}
 		g.mu.Unlock()
 		for _, s := range snapshot {
-			if _, err := s.flushForClose(g); err != nil {
+			if _, err := g.flushSession(s, nil); err != nil {
 				g.cfg.Logf("gate: close: reader %q capture %x: %v", s.name, s.nonce, err)
 			}
 		}
@@ -689,21 +613,4 @@ func (g *Gateway) Close() error {
 		g.sinkMu.Unlock()
 	})
 	return g.closeErr
-}
-
-// flushForClose finalizes a session during shutdown: every serve loop
-// has exited (wg.Wait), so no ownership races remain.
-func (s *session) flushForClose(g *Gateway) (uint32, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return s.frames, s.failed
-	}
-	if _, err := s.sd.Flush(); err != nil {
-		s.failed = err
-	}
-	s.done = true
-	s.doneAt = time.Now()
-	g.foldStatsLocked(s)
-	return s.frames, s.failed
 }

@@ -2,9 +2,9 @@
 // service that accepts LFIQ sample streams from many concurrent
 // readers over TCP, feeds each reader's samples into its own streaming
 // decode (lf.Decoder.NewStream), multiplexes all sessions onto a
-// shared bounded worker fleet with per-reader backpressure
-// (RetainedBytes is the admission signal), and publishes decoded
-// frames to pluggable sinks as they commit.
+// shared bounded worker fleet, paces each reader by acking a chunk
+// only once it is decoded, and publishes decoded frames to pluggable
+// sinks as they commit.
 //
 // The robustness model mirrors internal/dist: every transport failure
 // is recoverable. The ingest protocol is resumable — a session is

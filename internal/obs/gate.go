@@ -3,7 +3,7 @@ package obs
 // GateMetrics instruments the reader gateway (internal/gate).
 // ClassRuntime throughout, in the gateway's own Registry — like
 // dist.*, these observe transport and scheduling (connection counts,
-// throttle time, wire bytes) and never influence a decoded bit, so
+// wire bytes, session memory) and never influence a decoded bit, so
 // each reader session's decode-class stats identity matches a local
 // decode of the same capture.
 type GateMetrics struct {
@@ -13,11 +13,6 @@ type GateMetrics struct {
 	// Frames counts decoded frames published to sinks, across all
 	// readers and sinks-fanout counts once per frame.
 	Frames *Counter
-	// BackpressureNs totals time ingest spent blocked in the
-	// RetainedBytes admission gate, across all sessions. Nonzero means
-	// slow readers were flow-controlled instead of buffering without
-	// bound.
-	BackpressureNs *Counter
 	// Bytes totals wire traffic in both directions across all reader
 	// connections, as counted under the fault injectors (what the
 	// network actually carried, not what the codec produced).
@@ -28,21 +23,21 @@ type GateMetrics struct {
 	// Connected is the high-water count of concurrently connected
 	// reader connections.
 	Connected *Gauge
-	// RetainedPeak is the high-water per-session RetainedBytes observed
-	// at admission — the value the backpressure bound is enforced (and
-	// tested) against.
+	// RetainedPeak is the high-water per-session RetainedBytes, read
+	// just before each chunk is pushed: the decoder's resident window,
+	// or O(capture) with SIC enabled. It observes memory; nothing
+	// throttles on it.
 	RetainedPeak *Gauge
 }
 
 // NewGateMetrics registers the gate.* metric set in r.
 func NewGateMetrics(r *Registry) GateMetrics {
 	return GateMetrics{
-		Readers:        r.Counter("gate.readers", ClassRuntime),
-		Frames:         r.Counter("gate.frames", ClassRuntime),
-		BackpressureNs: r.Counter("gate.backpressure_ns", ClassRuntime),
-		Bytes:          r.Counter("gate.bytes", ClassRuntime),
-		SinkErrors:     r.Counter("gate.sink_errors", ClassRuntime),
-		Connected:      r.Gauge("gate.connected", ClassRuntime),
-		RetainedPeak:   r.Gauge("gate.retained_peak", ClassRuntime),
+		Readers:      r.Counter("gate.readers", ClassRuntime),
+		Frames:       r.Counter("gate.frames", ClassRuntime),
+		Bytes:        r.Counter("gate.bytes", ClassRuntime),
+		SinkErrors:   r.Counter("gate.sink_errors", ClassRuntime),
+		Connected:    r.Gauge("gate.connected", ClassRuntime),
+		RetainedPeak: r.Gauge("gate.retained_peak", ClassRuntime),
 	}
 }

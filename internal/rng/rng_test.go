@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -199,4 +201,51 @@ func TestIntnRange(t *testing.T) {
 			t.Fatalf("Intn out of range: %d", v)
 		}
 	}
+}
+
+// TestLazySeedingKeepsSequences: a Source seeds its generator on its
+// first draw, yet New and Split children drawn only after their
+// parents have drawn further still produce exactly the math/rand
+// sequence of their seed. A Split child's seed is FNV-1a of the label
+// xor the parent's next Int63, taken when Split is called.
+func TestLazySeedingKeepsSequences(t *testing.T) {
+	const seed = 11
+	ref := rand.New(rand.NewSource(seed))
+	childSeed := func(label string) int64 { return int64(fnvLabel(label) ^ uint64(ref.Int63())) }
+
+	parent := New(seed)
+	if got, want := parent.Float64(), ref.Float64(); got != want {
+		t.Fatalf("parent first draw = %v, want %v", got, want)
+	}
+	a := parent.Split("a")
+	wantA := rand.New(rand.NewSource(childSeed("a")))
+	b := parent.Split("b")
+	wantB := rand.New(rand.NewSource(childSeed("b")))
+	grand := b.Split("g") // b's first use is a Split, before any draw
+	wantG := rand.New(rand.NewSource(int64(fnvLabel("g") ^ uint64(wantB.Int63()))))
+	for i := 0; i < 5; i++ { // the parent moves on before any child draws
+		if got, want := parent.Int63(), ref.Int63(); got != want {
+			t.Fatalf("parent draw %d = %d, want %d", i, got, want)
+		}
+	}
+	late := New(seed + 1) // never drawn until now
+	wantLate := rand.New(rand.NewSource(seed + 1))
+
+	for i := 0; i < 20; i++ {
+		for _, c := range []struct {
+			name string
+			got  *Source
+			want *rand.Rand
+		}{{"a", a, wantA}, {"b", b, wantB}, {"b/g", grand, wantG}, {"late", late, wantLate}} {
+			if got, want := c.got.Int63(), c.want.Int63(); got != want {
+				t.Fatalf("%s draw %d = %d, want %d", c.name, i, got, want)
+			}
+		}
+	}
+}
+
+func fnvLabel(label string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(label))
+	return h.Sum64()
 }
