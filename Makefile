@@ -18,7 +18,7 @@ test:
 	$(GO) test ./...
 
 # The race gate runs the tree's concurrency under the race detector:
-# the gateway's session fleet, the experiments' epoch workers, and
+# the gateway's session fleet, the experiments' epoch fan-out, and
 # concurrent decoders sharing pooled scratch (one decode itself is
 # serial; TestDecodeDeterminismAcrossParallelism runs eight at once).
 race:
@@ -107,7 +107,9 @@ gate-smoke:
 	$(GO) run ./cmd/lfgate -demo -readers 4 -check
 
 # One-epoch robustness sweep: fault injection across severities with
-# the streaming==batch degraded-identity check enforced per point.
+# the streaming==batch degraded-identity check enforced per point. A
+# local target: TestPaperTables (in test) runs the same quick sweep
+# over three epochs, epoch 0 included, and pins its table.
 robustness-smoke:
 	$(GO) run ./cmd/lfbench -exp robustness -quick -epochs 1
 
@@ -144,11 +146,11 @@ profile:
 
 # The ci gate: vet, the test and race suites, the smokes that run
 # something race does not (fuzzing, the -count=3 gateway suite and
-# lfgate demo, the robustness sweep), and lfperf-smoke's decode-quality
-# check. race-stream, obs-smoke and sic-smoke select tests that race
-# and test already run, so they stay local targets. Timing is not gated
-# here (see perf-compare).
-ci: vet build test race fuzz-smoke kernel-smoke gate-smoke robustness-smoke lfperf-smoke
+# lfgate demo), and lfperf-smoke's decode-quality check. race-stream,
+# obs-smoke, sic-smoke and robustness-smoke run what race and test
+# already run, so they stay local targets. Timing is not gated here
+# (see perf-compare).
+ci: vet build test race fuzz-smoke kernel-smoke gate-smoke lfperf-smoke
 
 clean:
 	$(GO) clean ./...

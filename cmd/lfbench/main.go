@@ -6,7 +6,7 @@
 //
 //	lfbench [-exp all|table1|fig1|fig2|fig4|fig5|fig8|fig9|fig10|fig11|fig12|table2|table3|fig13|fig14|
 //	             dynamics|reliable|streaming|robustness|scalability|capacity|ablation]
-//	        [-seed N] [-epochs N] [-quick] [-workers N] [-format table|csv]
+//	        [-seed N] [-epochs N] [-quick] [-format table|csv]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // Performance is measured by the repository benchmark in lfperf/, not
@@ -35,7 +35,6 @@ func main() {
 	epochs := flag.Int("epochs", 3, "epochs per measured point")
 	quick := flag.Bool("quick", false, "trim sweeps for a fast smoke run")
 	format := flag.String("format", "table", "output format: table or csv")
-	workers := flag.Int("workers", 0, "epoch-level parallelism (0 = all cores, 1 = serial); results are identical at any setting")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
@@ -70,7 +69,7 @@ func main() {
 		}()
 	}
 
-	cfg := experiment.Config{Seed: *seed, Epochs: *epochs, Quick: *quick, Workers: *workers}
+	cfg := experiment.Config{Seed: *seed, Epochs: *epochs, Quick: *quick}
 	runners := []runner{
 		{"table1", experiment.Table1},
 		{"fig1", experiment.Fig1},
@@ -92,7 +91,9 @@ func main() {
 		{"robustness", experiment.Robustness},
 		{"scalability", experiment.ScalabilityLowRate},
 		{"capacity", experiment.CapacityModel},
-		{"ablation", runAblations},
+		// Both ablation tables run under one name.
+		{"ablation", experiment.AblationSeparation},
+		{"ablation", experiment.AblationRegistration},
 	}
 	ran := false
 	for _, r := range runners {
@@ -117,17 +118,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lfbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
-}
-
-func runAblations(cfg experiment.Config) (*experiment.Result, error) {
-	sep, err := experiment.AblationSeparation(cfg)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := experiment.AblationRegistration(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println(sep.Table.String())
-	return reg, nil
 }

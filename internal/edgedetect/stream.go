@@ -253,35 +253,6 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	return s, nil
 }
 
-// Reset rewinds the stream for a fresh capture, retaining every
-// internal buffer at its grown capacity so steady-state reuse does not
-// allocate. Edges returned before the Reset are invalidated.
-func (s *Stream) Reset() {
-	if s.released {
-		s.sumsRe, s.sumsIm, s.mag = pool.Float(0), pool.Float(0), pool.Float(0)
-		s.takeScratch()
-		s.released = false
-	}
-	// A reset masked stream becomes a push stream (and drops any
-	// calibration preset with the rest of the calibration state).
-	s.masked, s.active = false, nil
-	s.sumsRe = append(s.sumsRe[:0], 0)
-	s.sumsIm = append(s.sumsIm[:0], 0)
-	s.sumBase, s.accRe, s.accIm, s.front = 0, 0, 0, 0
-	s.mag = s.mag[:0]
-	s.magBase, s.magDone = 0, 0
-	s.calibrated, s.floor, s.threshold = false, 0, 0
-	s.screenFrom, s.screenEMax, s.calibE = 0, math.Inf(1), 0
-	s.scanned = 0
-	s.raw, s.kept = s.raw[:0], s.kept[:0]
-	s.groups, s.ghead = s.groups[:0], 0
-	s.prevLast, s.havePrev = 0, false
-	s.edges = s.edges[:0]
-	s.lastFinite, s.dropSpans = 0, s.dropSpans[:0]
-	s.eof, s.total, s.lowWater = false, 0, 0
-	s.err = nil
-}
-
 // Push appends a block of IQ samples and advances detection as far as
 // the new samples allow.
 func (s *Stream) Push(block []complex128) error {
@@ -445,7 +416,7 @@ func (s *Stream) returnScratch() {
 
 // Edges returns the edges finalised so far, in increasing position.
 // The slice is appended to by subsequent pushes; callers must not
-// retain it across Push/Reset.
+// retain it across Push.
 func (s *Stream) Edges() []Edge { return s.edges }
 
 // NoiseFloor returns the calibrated background differential magnitude
@@ -651,7 +622,7 @@ func (s *Stream) noteDrop(pos int64) {
 
 // Dropped returns the non-finite sample spans replaced so far, in
 // position order. The slice is appended to by subsequent pushes;
-// callers must not retain it across Push/Reset.
+// callers must not retain it across Push.
 func (s *Stream) Dropped() []Span { return s.dropSpans }
 
 // blankDropped blanks the just-computed magnitudes [lo, hi) whose

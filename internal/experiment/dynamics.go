@@ -59,15 +59,7 @@ func DynamicsRobustness(cfg Config) (*Result, error) {
 			}
 			coeffs := append([]complex128(nil), net.Channel().Coeffs...)
 			for e := 0; e < epochs; e++ {
-				ep, err := net.RunEpoch()
-				if err != nil {
-					return nil, err
-				}
-				dec, err := lf.NewDecoder(net.DecoderConfig())
-				if err != nil {
-					return nil, err
-				}
-				out, err := dec.Decode(ep)
+				ep, out, err := decodeEpoch(net, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -199,24 +191,12 @@ func ScalabilityLowRate(cfg Config) (*Result, error) {
 		var agg, offered float64
 		reg, total := 0, 0
 		for e := 0; e < cfg.Epochs; e++ {
-			net, err := lf.NewNetwork(lf.NetworkConfig{
+			ep, out, err := decodeNew(lf.NetworkConfig{
 				NumTags:     n,
 				BitRates:    []float64{10e3},
 				PayloadBits: []int{payloadBits},
 				Seed:        cfg.Seed + int64(n*7+e),
-			})
-			if err != nil {
-				return nil, err
-			}
-			ep, err := net.RunEpoch()
-			if err != nil {
-				return nil, err
-			}
-			dec, err := lf.NewDecoder(net.DecoderConfig())
-			if err != nil {
-				return nil, err
-			}
-			out, err := dec.Decode(ep)
+			}, nil)
 			if err != nil {
 				return nil, err
 			}

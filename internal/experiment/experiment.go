@@ -9,7 +9,10 @@ package experiment
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
+	"lf"
 	"lf/internal/stats"
 )
 
@@ -22,36 +25,84 @@ type Config struct {
 	// Quick trims sweeps for use under `go test -bench` where each
 	// iteration must stay cheap.
 	Quick bool
-	// Workers bounds epoch-level parallelism: independent seeded
-	// epochs (Fig8/9/10 throughput averaging, the ablations, Fig12's
-	// per-population runs) fan out across this many goroutines
-	// (0 = all cores, 1 = serial). Every epoch is seeded independently
-	// and aggregation preserves epoch order, so results are identical
-	// at any setting.
-	Workers int
 }
 
 // Default returns the configuration used by cmd/lfbench.
 func Default() Config { return Config{Seed: 1, Epochs: 3} }
 
-// workers resolves the epoch-level worker count: 0 means
-// runtime.GOMAXPROCS(0), and anything below 1 runs serially.
-func (c Config) workers() int {
-	if c.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
+// each runs fn(i) for every i in [0, n) on up to GOMAXPROCS goroutines
+// and returns the results in index order. fn must draw its randomness
+// from its index alone and write only what it returns; then the
+// results are identical at any GOMAXPROCS. The error returned is that
+// of the lowest failing index, as a serial loop would report it; a
+// panic in fn is re-raised on the caller once every goroutine has
+// returned.
+func each[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		panicked atomic.Value
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, fmt.Sprintf("experiment: epoch panic: %v", r))
+				}
+			}()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				out[i], errs[i] = fn(i)
+			}
+		}()
 	}
-	return max(c.Workers, 1)
-}
-
-// firstErr returns the first error (lowest epoch index) from a
-// fanned-out epoch loop, mirroring the serial loop's error semantics.
-func firstErr(errs []error) error {
+	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
+}
+
+// decodeEpoch runs net's next epoch and decodes it with
+// net.DecoderConfig(), adjusted by tweak when tweak is non-nil.
+func decodeEpoch(net *lf.Network, tweak func(*lf.DecoderConfig)) (*lf.Epoch, *lf.Result, error) {
+	ep, err := net.RunEpoch()
+	if err != nil {
+		return nil, nil, err
+	}
+	dcfg := net.DecoderConfig()
+	if tweak != nil {
+		tweak(&dcfg)
+	}
+	dec, err := lf.NewDecoder(dcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := dec.Decode(ep)
+	return ep, res, err
+}
+
+// decodeNew builds a network from nc and decodes its first epoch as
+// decodeEpoch does.
+func decodeNew(nc lf.NetworkConfig, tweak func(*lf.DecoderConfig)) (*lf.Epoch, *lf.Result, error) {
+	net, err := lf.NewNetwork(nc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return decodeEpoch(net, tweak)
 }
 
 // kbps formats a bits/s value in kbps.

@@ -9,7 +9,6 @@ import (
 	"lf/internal/epc"
 	"lf/internal/rng"
 	"lf/internal/stats"
-	"lf/internal/work"
 )
 
 // lfIdentify runs the LF-Backscatter identification protocol of §5.2:
@@ -40,19 +39,11 @@ func lfIdentify(n int, seed int64, maxEpochs int) (seconds float64, epochs int, 
 	identified := make(map[epc.ID]bool)
 	for epochs < maxEpochs {
 		epochs++
-		ep, err := net.RunEpoch()
+		ep, res, err := decodeEpoch(net, nil)
 		if err != nil {
 			return 0, 0, err
 		}
 		seconds += ep.Capture.Duration()
-		dec, err := lf.NewDecoder(net.DecoderConfig())
-		if err != nil {
-			return 0, 0, err
-		}
-		res, err := dec.Decode(ep)
-		if err != nil {
-			return 0, 0, err
-		}
 		for _, sr := range res.Streams {
 			if id, ok := epc.ParseFrame(sr.Bits); ok && idSet[id] {
 				identified[id] = true
@@ -125,36 +116,31 @@ func Fig12(cfg Config) (*Result, error) {
 	type point struct {
 		tSec, bSec, lSec float64
 		epochs           int
-		err              error
 	}
-	points := make([]point, len(ns))
-	work.Do(cfg.workers(), len(ns), func(i int) {
+	points, err := each(len(ns), func(i int) (point, error) {
 		n := ns[i]
 		// TDMA: Q-algorithm slotted ALOHA, averaged.
 		tc := tdma.DefaultConfig()
 		tc.SlotBits = epc.FrameBits
 		tSec, err := tc.MeanInventorySeconds(n, 8, tdmaSrcs[i])
 		if err != nil {
-			points[i].err = err
-			return
+			return point{}, err
 		}
 		bSec, err := buzzIdentify(n, cfg.Seed+int64(n), 8)
 		if err != nil {
-			points[i].err = err
-			return
+			return point{}, err
 		}
 		lSec, epochs, err := lfIdentify(n, cfg.Seed+int64(n)*17, 12)
 		if err != nil {
-			points[i].err = err
-			return
+			return point{}, err
 		}
-		points[i] = point{tSec: tSec, bSec: bSec, lSec: lSec, epochs: epochs}
+		return point{tSec: tSec, bSec: bSec, lSec: lSec, epochs: epochs}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, n := range ns {
 		p := points[i]
-		if p.err != nil {
-			return nil, p.err
-		}
 		table.AddRow(fmt.Sprint(n), ms(p.tSec), ms(p.bSec), ms(p.lSec), fmt.Sprint(p.epochs), ratio(p.tSec, p.lSec), ratio(p.bSec, p.lSec))
 		series[0].Add(float64(n), p.tSec*1e3)
 		series[1].Add(float64(n), p.bSec*1e3)

@@ -98,8 +98,7 @@ func robustnessPoint(cfg Config, kind fault.Kind, sev float64, blocks []int) (ro
 		}
 
 		dcfg := net.DecoderConfig()
-		dcfg.CalibSamples = streamCalibSamples
-		dcfg.CancellationRounds = -1
+		streamConfig(&dcfg)
 		dec, err := lf.NewDecoder(dcfg)
 		if err != nil {
 			return pt, err

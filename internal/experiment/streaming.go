@@ -16,6 +16,15 @@ const streamCalibSamples = 32768
 // streamBlock is the replay block size, sized like an SDR DMA buffer.
 const streamBlock = 8192
 
+// streamConfig bounds calibration so the decoder commits mid-capture
+// and turns SIC off: SIC retains a raw-capture copy by design (it
+// subtracts reconstructions from the original samples), so the memory
+// characterization runs the pure streaming configuration.
+func streamConfig(d *lf.DecoderConfig) {
+	d.CalibSamples = streamCalibSamples
+	d.CancellationRounds = -1
+}
+
 // Streaming characterizes the bounded-memory streaming decode path
 // against batch decode: how long before end of capture the first frame
 // surfaces, how much sample-proportional memory the decoder retains at
@@ -41,22 +50,7 @@ func Streaming(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ep, err := net.RunEpoch()
-		if err != nil {
-			return nil, err
-		}
-		dcfg := net.DecoderConfig()
-		dcfg.CalibSamples = streamCalibSamples
-		// SIC retains a raw-capture copy by design (it subtracts
-		// reconstructions from the original samples), so the memory
-		// characterization runs the pure streaming configuration.
-		dcfg.CancellationRounds = -1
-
-		dec, err := lf.NewDecoder(dcfg)
-		if err != nil {
-			return nil, err
-		}
-		batch, err := dec.Decode(ep)
+		ep, batch, err := decodeEpoch(net, streamConfig)
 		if err != nil {
 			return nil, err
 		}
@@ -64,6 +58,8 @@ func Streaming(cfg Config) (*Result, error) {
 		// Streaming pass: replay the capture in blocks, recording when
 		// the first frame commits and the peak retained memory.
 		var pushed, firstFrame int64 = 0, -1
+		dcfg := net.DecoderConfig()
+		streamConfig(&dcfg)
 		dcfg.OnFrame = func(*lf.StreamResult) {
 			if firstFrame < 0 {
 				firstFrame = pushed

@@ -22,15 +22,7 @@ func Table1(cfg Config) (*Result, error) {
 	if err := net.SetPayload(0, sent); err != nil {
 		return nil, err
 	}
-	ep, err := net.RunEpoch()
-	if err != nil {
-		return nil, err
-	}
-	dec, err := lf.NewDecoder(net.DecoderConfig())
-	if err != nil {
-		return nil, err
-	}
-	res, err := dec.Decode(ep)
+	_, res, err := decodeEpoch(net, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -9,62 +9,35 @@ import (
 	"lf/internal/decoder"
 	"lf/internal/rng"
 	"lf/internal/stats"
-	"lf/internal/work"
 )
 
 // lfThroughput measures LF-Backscatter aggregate goodput for n tags at
 // the given per-tag rate, averaged over cfg.Epochs epochs, using the
 // given pipeline stages. It returns mean aggregate and offered bps.
-//
-// Epochs are independently seeded, so they fan out across cfg.Workers
-// goroutines; per-epoch results land in an indexed slice and are
-// summed in epoch order, keeping the mean bit-identical to the serial
-// loop at any worker count.
+// Epochs are independently seeded and summed in epoch order, so the
+// means do not depend on GOMAXPROCS.
 func lfThroughput(cfg Config, n int, rate float64, stages lf.Stages, seed int64) (agg, offered float64, err error) {
 	payloadSeconds := 2e-3
 	if cfg.Quick {
 		payloadSeconds = 1e-3
 	}
-	type epochOut struct {
-		agg, offered float64
-		err          error
-	}
-	outs := make([]epochOut, cfg.Epochs)
-	work.Do(cfg.workers(), cfg.Epochs, func(e int) {
-		net, err := lf.NewNetwork(lf.NetworkConfig{
+	type epochOut struct{ agg, offered float64 }
+	outs, err := each(cfg.Epochs, func(e int) (epochOut, error) {
+		ep, res, err := decodeNew(lf.NetworkConfig{
 			NumTags:        n,
 			BitRates:       []float64{rate},
 			PayloadSeconds: payloadSeconds,
 			Seed:           seed + int64(e)*7919,
-		})
+		}, func(d *lf.DecoderConfig) { d.Stages = stages })
 		if err != nil {
-			outs[e].err = err
-			return
+			return epochOut{}, err
 		}
-		ep, err := net.RunEpoch()
-		if err != nil {
-			outs[e].err = err
-			return
-		}
-		dcfg := net.DecoderConfig()
-		dcfg.Stages = stages
-		dec, err := lf.NewDecoder(dcfg)
-		if err != nil {
-			outs[e].err = err
-			return
-		}
-		res, err := dec.Decode(ep)
-		if err != nil {
-			outs[e].err = err
-			return
-		}
-		score := lf.ScoreEpoch(ep, res)
-		outs[e] = epochOut{agg: score.AggregateBps, offered: lf.OfferedBps(ep)}
+		return epochOut{lf.ScoreEpoch(ep, res).AggregateBps, lf.OfferedBps(ep)}, nil
 	})
+	if err != nil {
+		return 0, 0, err
+	}
 	for _, out := range outs {
-		if out.err != nil {
-			return 0, 0, out.err
-		}
 		agg += out.agg
 		offered += out.offered
 	}
@@ -137,20 +110,22 @@ func Fig8(cfg Config) (*Result, error) {
 	return &Result{Table: table, Series: series}, nil
 }
 
+// stageSets is the decoding-stage ladder Figs. 9 and 10 sweep.
+var stageSets = []struct {
+	label  string
+	stages lf.Stages
+}{
+	{"Edge", lf.Stages{}},
+	{"Edge+IQ", lf.Stages{IQSeparation: true}},
+	{"Edge+IQ+Error", lf.Stages{IQSeparation: true, ErrorCorrection: true}},
+}
+
 // Fig9 reproduces the decoding-stage breakdown: edge-based concurrency
 // alone, plus IQ collision separation, plus Viterbi error correction.
 func Fig9(cfg Config) (*Result, error) {
 	ns := []int{4, 8, 12, 16}
 	if cfg.Quick {
 		ns = []int{4, 8}
-	}
-	stageSets := []struct {
-		label  string
-		stages lf.Stages
-	}{
-		{"Edge", lf.Stages{}},
-		{"Edge+IQ", lf.Stages{IQSeparation: true}},
-		{"Edge+IQ+Error", lf.Stages{IQSeparation: true, ErrorCorrection: true}},
 	}
 	table := &stats.Table{
 		Title:  "Fig. 9 — decoding module contribution to throughput (kbps)",
@@ -186,14 +161,6 @@ func Fig10(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		rates = []float64{50e3, 150e3, 250e3}
 		n = 8
-	}
-	stageSets := []struct {
-		label  string
-		stages lf.Stages
-	}{
-		{"Edge", lf.Stages{}},
-		{"Edge+IQ", lf.Stages{IQSeparation: true}},
-		{"Edge+IQ+Error", lf.Stages{IQSeparation: true, ErrorCorrection: true}},
 	}
 	table := &stats.Table{
 		Title:  fmt.Sprintf("Fig. 10 — LF-Backscatter throughput (kbps), %d nodes, per-node bit rate sweep", n),
@@ -235,23 +202,11 @@ func Fig11(cfg Config) (*Result, error) {
 	for _, r := range rateSet {
 		rates = append(rates, r, r)
 	}
-	net, err := lf.NewNetwork(lf.NetworkConfig{
+	ep, res, err := decodeNew(lf.NetworkConfig{
 		BitRates:       rates,
 		PayloadSeconds: 40e-3,
 		Seed:           cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ep, err := net.RunEpoch()
-	if err != nil {
-		return nil, err
-	}
-	dec, err := lf.NewDecoder(net.DecoderConfig())
-	if err != nil {
-		return nil, err
-	}
-	res, err := dec.Decode(ep)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -272,6 +227,31 @@ func Fig11(cfg Config) (*Result, error) {
 	return &Result{Table: table, Series: series}, nil
 }
 
+// ablationPoint decodes cfg.Epochs epochs of n tags at the default
+// 100 kbps with the decoder adjusted by tweak, and returns the mean
+// aggregate goodput and the streams registered over all epochs.
+func ablationPoint(cfg Config, n int, tweak func(*lf.DecoderConfig)) (agg float64, registered int, err error) {
+	scores, err := each(cfg.Epochs, func(e int) (lf.Score, error) {
+		ep, res, err := decodeNew(lf.NetworkConfig{
+			NumTags:        n,
+			PayloadSeconds: 2e-3,
+			Seed:           cfg.Seed + int64(e)*13,
+		}, tweak)
+		if err != nil {
+			return lf.Score{}, err
+		}
+		return lf.ScoreEpoch(ep, res), nil
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, s := range scores {
+		agg += s.AggregateBps
+		registered += s.Registered
+	}
+	return agg / float64(cfg.Epochs), registered, nil
+}
+
 // AblationSeparation compares the collision-separation strategies —
 // the paper's blind parallelogram against the preamble-anchored
 // classifier and the hybrid default.
@@ -284,51 +264,16 @@ func AblationSeparation(cfg Config) (*Result, error) {
 		{"anchored", decoder.SeparationAnchored},
 		{"blind", decoder.SeparationBlind},
 	}
-	n := 8
 	table := &stats.Table{
 		Title:  "Ablation — collision separation strategy (8 nodes @100 kbps)",
 		Header: []string{"mode", "throughput(kbps)"},
 	}
 	for _, m := range modes {
-		aggs := make([]float64, cfg.Epochs)
-		errs := make([]error, cfg.Epochs)
-		work.Do(cfg.workers(), cfg.Epochs, func(e int) {
-			net, err := lf.NewNetwork(lf.NetworkConfig{
-				NumTags:        n,
-				PayloadSeconds: 2e-3,
-				Seed:           cfg.Seed + int64(e)*13,
-			})
-			if err != nil {
-				errs[e] = err
-				return
-			}
-			ep, err := net.RunEpoch()
-			if err != nil {
-				errs[e] = err
-				return
-			}
-			dcfg := net.DecoderConfig()
-			dcfg.Separation = m.mode
-			dec, err := lf.NewDecoder(dcfg)
-			if err != nil {
-				errs[e] = err
-				return
-			}
-			res, err := dec.Decode(ep)
-			if err != nil {
-				errs[e] = err
-				return
-			}
-			aggs[e] = lf.ScoreEpoch(ep, res).AggregateBps
-		})
-		if err := firstErr(errs); err != nil {
+		agg, _, err := ablationPoint(cfg, 8, func(d *lf.DecoderConfig) { d.Separation = m.mode })
+		if err != nil {
 			return nil, err
 		}
-		var agg float64
-		for _, a := range aggs {
-			agg += a
-		}
-		table.AddRow(m.label, kbps(agg/float64(cfg.Epochs)))
+		table.AddRow(m.label, kbps(agg))
 	}
 	return &Result{Table: table}, nil
 }
@@ -350,53 +295,11 @@ func AblationRegistration(cfg Config) (*Result, error) {
 		Header: []string{"mode", "registered", "throughput(kbps)"},
 	}
 	for _, m := range modes {
-		type epochOut struct {
-			agg float64
-			reg int
-		}
-		outs := make([]epochOut, cfg.Epochs)
-		errs := make([]error, cfg.Epochs)
-		work.Do(cfg.workers(), cfg.Epochs, func(e int) {
-			net, err := lf.NewNetwork(lf.NetworkConfig{
-				NumTags:        n,
-				PayloadSeconds: 2e-3,
-				Seed:           cfg.Seed + int64(e)*13,
-			})
-			if err != nil {
-				errs[e] = err
-				return
-			}
-			ep, err := net.RunEpoch()
-			if err != nil {
-				errs[e] = err
-				return
-			}
-			dcfg := net.DecoderConfig()
-			dcfg.Registration = m.mode
-			dec, err := lf.NewDecoder(dcfg)
-			if err != nil {
-				errs[e] = err
-				return
-			}
-			res, err := dec.Decode(ep)
-			if err != nil {
-				errs[e] = err
-				return
-			}
-			score := lf.ScoreEpoch(ep, res)
-			outs[e] = epochOut{agg: score.AggregateBps, reg: score.Registered}
-		})
-		if err := firstErr(errs); err != nil {
+		agg, reg, err := ablationPoint(cfg, n, func(d *lf.DecoderConfig) { d.Registration = m.mode })
+		if err != nil {
 			return nil, err
 		}
-		var agg float64
-		reg, total := 0, 0
-		for _, out := range outs {
-			agg += out.agg
-			reg += out.reg
-			total += n
-		}
-		table.AddRow(m.label, fmt.Sprintf("%d/%d", reg, total), kbps(agg/float64(cfg.Epochs)))
+		table.AddRow(m.label, fmt.Sprintf("%d/%d", reg, n*cfg.Epochs), kbps(agg))
 	}
 	return &Result{Table: table}, nil
 }
