@@ -66,14 +66,20 @@ fuzz-smoke:
 # frame-head scan's branch-and-bound cut against the uncut scan
 # (DESIGN.md §17), and registration's cursor lookups and screened
 # region geometry against their sort.Search and exact-Dist references;
-# and the LFIQ sample codec's little-endian fast path against the
-# portable path, truncation included.
+# the LFIQ sample codec's little-endian fast path against the
+# portable path, truncation included; the running-minimum kmeans++
+# seeding, the centroid pruning and the shared k-means scratch against
+# their references; and collision resolution's counting-sorted edge
+# claims and the SIC round's linear touched-range merge against their
+# sort-based references.
 kernel-smoke:
 	$(GO) test -run 'TestPrefixSoA|TestDiffSweep|TestDiffAt|TestScreen|TestDist|TestMedianFloat|TestNoiseFloor|TestSuppress' ./internal/dsp
 	$(GO) test -run 'TestCalibrateFromScreen' ./internal/edgedetect
 	$(GO) test -run '^$$' -fuzz FuzzDiffSweepSparse -fuzztime 5s ./internal/dsp
 	$(GO) test -run 'TestAnchorScanPruneExact|TestRegistrationGeometryExact' ./internal/streams
 	$(GO) test -run 'TestSampleCodec|TestBlockReaderTruncated' ./internal/iq
+	$(GO) test -run 'TestSeedPlusPlus|TestKMeansPruningIdentical|TestKMeansWarmMatchesReference' ./internal/cluster
+	$(GO) test -run 'TestEdgeClaims|TestTouchedRanges' ./internal/decoder
 
 # Observability smoke: the golden-trace corpus (batch + streaming,
 # byte-for-byte against testdata/golden/) and the metrics conservation

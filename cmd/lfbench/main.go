@@ -38,6 +38,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
+	if *format != "table" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "lfbench: unknown format %q (want table or csv)\n", *format)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -67,7 +67,9 @@ func (w *Warm) put(k int, centroids []complex128) {
 	if w.byK == nil {
 		w.byK = make(map[int][]complex128)
 	}
-	w.byK[k] = append([]complex128(nil), centroids...)
+	// KMeansWarm copies a cached entry before descending from it, so
+	// the entry's storage can be overwritten in place.
+	w.byK[k] = append(w.byK[k][:0], centroids...)
 }
 
 // KMeansWarm is KMeans with an optional warm-start cache. The seeded
@@ -76,6 +78,11 @@ func (w *Warm) put(k int, centroids []complex128) {
 // every seeded restart) is identical with or without a cache — and the
 // warm candidate is adopted only on strictly lower inertia, so a stale
 // cache can waste a little work but never worsen the result.
+//
+// All working memory is allocated once per call: the seeding and
+// Lloyd scratch is shared by every descent, and each descent runs in a
+// candidate centroid/assignment pair that is swapped with the best
+// result's pair when adopted.
 func KMeansWarm(points []complex128, k, restarts, maxIter int, src *rng.Source, w *Warm) *Result {
 	if k < 1 {
 		panic("cluster: k < 1")
@@ -83,43 +90,74 @@ func KMeansWarm(points []complex128, k, restarts, maxIter int, src *rng.Source, 
 	if restarts < 1 {
 		restarts = 1
 	}
-	var best *Result
+	n := len(points)
+	s := newScratch(n, k)
+	best := &Result{Centroids: make([]complex128, k), Assign: make([]int, n), K: k}
+	cents, assign := make([]complex128, k), make([]int, n)
+	adopt := func(inertia float64) {
+		best.Inertia = inertia
+		best.Centroids, cents = cents, best.Centroids
+		best.Assign, assign = assign, best.Assign
+	}
 	for r := 0; r < restarts; r++ {
-		res := kmeansFrom(points, seedPlusPlus(points, k, src), maxIter)
-		if best == nil || res.Inertia < best.Inertia {
-			best = res
+		s.seedPlusPlus(points, cents, src)
+		if inertia := s.kmeansFrom(points, cents, assign, maxIter); r == 0 || inertia < best.Inertia {
+			adopt(inertia)
 		}
 	}
 	if cached := w.get(k); cached != nil {
-		res := kmeansFrom(points, append([]complex128(nil), cached...), maxIter)
-		if res.Inertia < best.Inertia {
-			best = res
+		copy(cents, cached)
+		if inertia := s.kmeansFrom(points, cents, assign, maxIter); inertia < best.Inertia {
+			adopt(inertia)
 		}
 	}
 	w.put(k, best.Centroids)
 	return best
 }
 
-// kmeansFrom runs Lloyd iterations from the given initial centroids
-// (taking ownership of the slice). The assignment step prunes with the
-// triangle inequality on centroid-centroid distances: if the squared
-// distance between candidate centroid c and the current best centroid
-// exceeds 4·bd, then d(p, c) ≥ d(c, best) − d(p, best) > 2√bd − √bd =
-// √bd, so c cannot win. The (4+4e-9) factor absorbs the few-ulp
-// rounding of the computed squared distances, making the float test
-// strictly conservative: a skipped candidate's computed sqDist would
-// have failed the strict `d < bd` comparison anyway, so pruned and
-// unpruned assignment — and therefore the whole descent — are
-// bit-identical (TestKMeansPruningIdentical pins this).
-func kmeansFrom(points []complex128, centroids []complex128, maxIter int) *Result {
+// scratch is the working memory of one KMeansWarm call, shared by its
+// seedings and descents. Each use resets what it reads, so nothing
+// carries over from one descent to the next.
+type scratch struct {
+	d2     []float64    // seedPlusPlus: squared distance to the nearest seed
+	ccSq   []float64    // kmeansFrom: centroid-centroid squared distances, k×k
+	sums   []complex128 // kmeansFrom: per-cluster point sums
+	counts []int        // kmeansFrom: per-cluster point counts
+}
+
+func newScratch(n, k int) *scratch {
+	return &scratch{
+		d2:     make([]float64, n),
+		ccSq:   make([]float64, k*k),
+		sums:   make([]complex128, k),
+		counts: make([]int, k),
+	}
+}
+
+// kmeansFrom runs Lloyd iterations from the initial centroids, updating
+// them and assign (len(points)) in place, and returns the inertia. The
+// assignment step prunes with the triangle inequality on
+// centroid-centroid distances: if the squared distance between
+// candidate centroid c and the current best centroid exceeds 4·bd, then
+// d(p, c) ≥ d(c, best) − d(p, best) > 2√bd − √bd = √bd, so c cannot
+// win. The (4+4e-9) factor absorbs the few-ulp rounding of the computed
+// squared distances, making the float test strictly conservative: a
+// skipped candidate's computed sqDist would have failed the strict
+// `d < bd` comparison anyway, so pruned and unpruned assignment — and
+// therefore the whole descent — are bit-identical
+// (TestKMeansPruningIdentical pins this). The centroid table is filled
+// for c1 ≤ c2 and mirrored: sqDist(a, b) and sqDist(b, a) square
+// exactly negated differences, so they are the same float64.
+func (s *scratch) kmeansFrom(points, centroids []complex128, assign []int, maxIter int) float64 {
 	k := len(centroids)
-	assign := make([]int, len(points))
-	ccSq := make([]float64, k*k)
+	ccSq, sums, counts := s.ccSq, s.sums, s.counts
+	clear(assign)
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		for c1 := 0; c1 < k; c1++ {
-			for c2 := 0; c2 < k; c2++ {
-				ccSq[c1*k+c2] = sqDist(centroids[c1], centroids[c2])
+			for c2 := c1; c2 < k; c2++ {
+				d := sqDist(centroids[c1], centroids[c2])
+				ccSq[c1*k+c2], ccSq[c2*k+c1] = d, d
 			}
 		}
 		// Assignment step.
@@ -140,8 +178,8 @@ func kmeansFrom(points []complex128, centroids []complex128, maxIter int) *Resul
 			}
 		}
 		// Update step.
-		sums := make([]complex128, k)
-		counts := make([]int, k)
+		clear(sums)
+		clear(counts)
 		for i, p := range points {
 			sums[assign[i]] += p
 			counts[assign[i]]++
@@ -155,38 +193,43 @@ func kmeansFrom(points []complex128, centroids []complex128, maxIter int) *Resul
 			break
 		}
 	}
-	res := &Result{Centroids: centroids, Assign: assign, K: k}
+	var inertia float64
 	for i, p := range points {
-		res.Inertia += sqDist(p, centroids[assign[i]])
+		inertia += sqDist(p, centroids[assign[i]])
 	}
-	return res
+	return inertia
 }
 
-// seedPlusPlus picks initial centroids with the kmeans++ rule: each
-// next seed is drawn with probability proportional to its squared
-// distance from the nearest existing seed.
-func seedPlusPlus(points []complex128, k int, src *rng.Source) []complex128 {
-	centroids := make([]complex128, 0, k)
+// seedPlusPlus fills centroids with initial seeds by the kmeans++ rule:
+// each next seed is drawn with probability proportional to its squared
+// distance from the nearest existing seed. d2 keeps that distance as a
+// running minimum, folding in only the seed added since the last pass:
+// the minimum over the same distances, compared in the same seed order,
+// is the same float64 as recomputing it over every seed, and total sums
+// it in the same point order, so the draws are exactly those of the
+// O(n·k²) recomputation (TestSeedPlusPlusMatchesReference).
+func (s *scratch) seedPlusPlus(points, centroids []complex128, src *rng.Source) {
 	if len(points) == 0 {
-		return make([]complex128, k)
+		clear(centroids)
+		return
 	}
-	centroids = append(centroids, points[src.Intn(len(points))])
-	d2 := make([]float64, len(points))
-	for len(centroids) < k {
+	centroids[0] = points[src.Intn(len(points))]
+	d2 := s.d2
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
+	for m := 1; m < len(centroids); m++ {
+		c := centroids[m-1]
 		var total float64
 		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				if d := sqDist(p, c); d < best {
-					best = d
-				}
+			if d := sqDist(p, c); d < d2[i] {
+				d2[i] = d
 			}
-			d2[i] = best
-			total += best
+			total += d2[i]
 		}
 		if total == 0 {
 			// All remaining points coincide with seeds; duplicate one.
-			centroids = append(centroids, points[src.Intn(len(points))])
+			centroids[m] = points[src.Intn(len(points))]
 			continue
 		}
 		target := src.Float64() * total
@@ -198,9 +241,8 @@ func seedPlusPlus(points []complex128, k int, src *rng.Source) []complex128 {
 				break
 			}
 		}
-		centroids = append(centroids, points[idx])
+		centroids[m] = points[idx]
 	}
-	return centroids
 }
 
 func sqDist(a, b complex128) float64 {

@@ -11,15 +11,7 @@ import (
 // latticePoints builds a noisy nine-mode lattice population — the shape
 // SeparateBlind clusters — from two generators.
 func latticePoints(src *rng.Source, n int) []complex128 {
-	e1, e2 := complex(1.0, 0.3), complex(-0.2, 0.9)
-	pts := make([]complex128, n)
-	for i := range pts {
-		a := float64(src.Intn(3) - 1)
-		b := float64(src.Intn(3) - 1)
-		noise := complex(src.Norm(0, 0.04), src.Norm(0, 0.04))
-		pts[i] = complex(a, 0)*e1 + complex(b, 0)*e2 + noise
-	}
-	return pts
+	return noisyLattice(src, n, 0.04)
 }
 
 // unprunedFrom replicates kmeansFrom without the triangle-inequality

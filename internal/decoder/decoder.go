@@ -397,36 +397,64 @@ type claim struct {
 	stream, slot int
 }
 
+// edgeClaim is one slot→edge reference.
+type edgeClaim struct {
+	edge int
+	claim
+}
+
+// edgeClaims collects every slot→edge reference into one flat list
+// ordered by (edge, stream, slot): runs of equal edge index are that
+// edge's claimant set, already in stream order. A single ordered slice
+// replaces a map of per-edge lists on this per-slot hot path. Claims
+// are visited in (stream, slot) order, so a stable counting sort on the
+// edge index yields exactly that order; its buckets span the claimed
+// edge range [lo, hi] of the committed window, not the absolute edge
+// index, which grows with the capture.
+func edgeClaims(results []*StreamResult) []edgeClaim {
+	n, lo, hi := 0, math.MaxInt, -1
+	for _, sr := range results {
+		for _, slot := range sr.Slots {
+			if e := slot.EdgeIdx; e >= 0 {
+				n++
+				lo, hi = min(lo, e), max(hi, e)
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	// next[e-lo] is where edge e's next claim goes: the number of
+	// claims on lower edges, then advanced as they are placed.
+	next := make([]int, hi-lo+2)
+	for _, sr := range results {
+		for _, slot := range sr.Slots {
+			if e := slot.EdgeIdx; e >= 0 {
+				next[e-lo+1]++
+			}
+		}
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	all := make([]edgeClaim, n)
+	for si, sr := range results {
+		for ki, slot := range sr.Slots {
+			if e := slot.EdgeIdx; e >= 0 {
+				all[next[e-lo]] = edgeClaim{e, claim{si, ki}}
+				next[e-lo]++
+			}
+		}
+	}
+	return all
+}
+
 // resolveCollisions finds edges referenced by two or more streams'
 // slots, groups the recurring observations per colliding stream set,
 // separates them (blind or anchored), and rewrites each participant's
 // slot observation with the other tags' contributions cancelled.
 func resolveCollisions(results []*StreamResult, cfg Config, src *rng.Source, res *Result) {
-	// Collect every slot→edge reference into one flat list sorted by
-	// (edge, stream, slot): runs of equal edge index are that edge's
-	// claimant set, already in stream order. A single sorted slice
-	// replaces a map of per-edge lists on this per-slot hot path.
-	type edgeClaim struct {
-		edge int
-		claim
-	}
-	var all []edgeClaim
-	for si, sr := range results {
-		for ki, slot := range sr.Slots {
-			if slot.EdgeIdx >= 0 {
-				all = append(all, edgeClaim{slot.EdgeIdx, claim{si, ki}})
-			}
-		}
-	}
-	slices.SortFunc(all, func(a, b edgeClaim) int {
-		if a.edge != b.edge {
-			return a.edge - b.edge
-		}
-		if a.stream != b.stream {
-			return a.stream - b.stream
-		}
-		return a.slot - b.slot
-	})
+	all := edgeClaims(results)
 	// Group collision observations by the set of streams involved so a
 	// recurring pair accumulates lattice points.
 	type group struct {
@@ -498,9 +526,7 @@ func separatePair(results []*StreamResult, sa, sb int, cls []claim, cfg Config, 
 	// referencing the same edge; slot Obs is the edge differential,
 	// identical for both claimants).
 	type pairSlot struct{ ka, kb int }
-	var pairs []pairSlot
-	var points []complex128
-	byEdge := make(map[int64][2]int) // edge pos -> {slotA, slotB}
+	byEdge := make(map[int64][2]int, len(cls)/2) // edge pos -> {slotA, slotB}
 	for _, c := range cls {
 		sr := results[c.stream]
 		pos := sr.Slots[c.slot].Pos
@@ -517,6 +543,8 @@ func separatePair(results []*StreamResult, sa, sb int, cls []claim, cfg Config, 
 		positions = append(positions, pos)
 	}
 	slices.Sort(positions)
+	pairs := make([]pairSlot, 0, len(positions))
+	points := make([]complex128, 0, len(positions))
 	for _, pos := range positions {
 		e := byEdge[pos]
 		if e[0] == 0 || e[1] == 0 {

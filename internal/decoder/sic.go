@@ -480,7 +480,13 @@ func subtractSegs(residual []complex128, contribs [][]reconSeg, lo, hi int) {
 // reconstruction segment — the samples this round's subtraction
 // modifies — into a sorted disjoint edgedetect.Span tiling. Constant
 // (+0, +0) segments leave the residual bitwise unchanged and are
-// excluded, exactly mirroring subtractSegs's skip.
+// excluded, exactly mirroring subtractSegs's skip. A segment that
+// overlaps or touches the last collected span is joined into it, which
+// leaves the union — and so the maximal-interval cover mergeRanges
+// returns — unchanged. A reconstruction is a position-sorted cover of
+// [0, n), so this one linear pass leaves one span per run of adjacent
+// non-zero segments, and mergeRanges sorts those instead of one span
+// per ramp.
 func touchedRanges(contribs [][]reconSeg) []edgedetect.Span {
 	var spans []edgedetect.Span
 	for _, segs := range contribs {
@@ -489,7 +495,12 @@ func touchedRanges(contribs [][]reconSeg) []edgedetect.Span {
 				!math.Signbit(real(seg.val)) && !math.Signbit(imag(seg.val)) {
 				continue
 			}
-			spans = append(spans, edgedetect.Span{Lo: int64(seg.lo), Hi: int64(seg.hi)})
+			lo, hi := int64(seg.lo), int64(seg.hi)
+			if m := len(spans) - 1; m >= 0 && lo <= spans[m].Hi && hi >= spans[m].Lo {
+				spans[m] = edgedetect.Span{Lo: min(lo, spans[m].Lo), Hi: max(hi, spans[m].Hi)}
+				continue
+			}
+			spans = append(spans, edgedetect.Span{Lo: lo, Hi: hi})
 		}
 	}
 	return mergeRanges(spans)
